@@ -140,7 +140,8 @@ def _check(ell: int, d: int, mode: str, type2: bool) -> BoundReport:
     if d < 1:
         raise ValueError("d must be >= 1")
     coef2, coef16, rhs = _coefficients(ell, mode, type2)
-    lhs = sum(_term(ell, e, mode, coef2, coef16) for e in range(d))
+    # no word is heavier than 5*ell, and every later term is zero
+    lhs = sum(_term(ell, e, mode, coef2, coef16) for e in range(min(d, 5 * ell + 1)))
     return BoundReport(ell, d, mode, type2, lhs, rhs, lhs < rhs, Fraction(d, 5 * ell))
 
 
@@ -199,7 +200,7 @@ def entropy(q: int, x: float) -> float:
     invertible only on [0, (q-1)/q]."""
     if q < 2:
         raise ValueError("q must be >= 2")
-    if x < 0 or x > 1:
+    if not 0 <= x <= 1:
         raise ValueError(f"x={x} outside [0, 1]")
     lg = math.log(q)
     if x == 0:
@@ -211,8 +212,10 @@ def entropy(q: int, x: float) -> float:
 
 def inverse_entropy(q: int, y: float, tol: float = 1e-9) -> float:
     """The unique x in [0, (q-1)/q] with entropy(q, x) = y, by bisection."""
-    if y < 0 or y > 1:
-        raise ValueError("y must lie in [0, 1]")
+    if q < 2:
+        raise ValueError("q must be >= 2")
+    if not 0 <= y <= 1:
+        raise ValueError(f"y={y} outside [0, 1]")
     lo, hi = 0.0, (q - 1) / q
     while hi - lo > tol:
         mid = (lo + hi) / 2

@@ -1,8 +1,10 @@
 """Exhaustive enumeration and seeded random sampling of self-dual codes.
 
 The census is the ground-truth oracle for the counting formulas: it builds
-every self-dual code of a given (small) length by depth-first isotropic
-extension, de-duplicating states by canonical RREF.  The sampler grows a
+every self-dual code of a given (small) length exactly once, by orderly
+generation (Read 1978; McKay 1998).  A search-tree node is a self-orthogonal
+code held as its packed RREF rows, and its parent is the code of its first
+k-1 rows, so each self-dual code is one leaf.  The sampler grows a
 random self-dual code one uniformly chosen isotropic vector at a time; the
 generator is Python's Mersenne Twister (random.Random), seeded with a
 64-bit integer, which is the repository's fixed reproducibility contract.
@@ -14,9 +16,12 @@ one, throughout.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import xor
 from typing import Optional, Sequence
 
+from . import mass
+from .constructions import quintic_map
 from .fields import Field, GF16, field_for
 from .codes import (
     EUCLIDEAN,
@@ -28,7 +33,6 @@ from .codes import (
     rref,
     scalar_mul,
     symbol_mask,
-    packed_weight,
     unpack,
     vec_add,
 )
@@ -50,39 +54,38 @@ def _is_isotropic(field: Field, v, inner: str) -> bool:
 # census
 
 
-def _packed_scalar_rows(field: Field, row, n: int):
-    """Packed scalar multiples [c*row for c in field], indexed by c."""
-    return [pack(field, scalar_mul(field, c, row)) for c in field.elements()]
+def _iso_test(pair, type2: bool):
+    """<v, v> == 0 for a packed vector v; weight 0 mod 4 for Type II."""
+    if type2:
+        return lambda pv: pv.bit_count() % 4 == 0
+    return lambda pv: pair(pv, pv) == 0
 
 
-def _span_packed(field: Field, rows, n: int) -> set:
-    """All packed vectors in the row span."""
-    out = {0}
-    for row in rows:
-        mults = _packed_scalar_rows(field, row, n)[1:]
-        out |= {e ^ m for e in out for m in mults}
-    return out
-
-
-def _iso_test(field: Field, n: int, type2: bool):
-    mask = symbol_mask(field, n)
+def _packed_ops(field: Field, n: int):
+    """(scale, pair, support) on packed vectors: c*v, the designated inner
+    product <x, y>, and the nonzero columns of v (low bit of each slot)."""
     if field.q == 2:
-        if type2:
-            return lambda pv: pv.bit_count() % 4 == 0
-        return lambda pv: pv.bit_count() % 2 == 0
-    if field.q == 4:
-        # v.conj(v) = v^3 = 1 for nonzero v: isotropic iff even support
-        return lambda pv: packed_weight(field, pv, mask) % 2 == 0
-    f5 = [GF16.pow(a, 5) for a in range(16)]
+        return (lambda c, v: v if c else 0), (lambda x, y: (x & y).bit_count() & 1), (lambda v: v)
+    mask = symbol_mask(field, n)
+    prod = [[field.mul(a, field.conjugate(c)) for c in field.elements()] for a in field.elements()]
+    return (
+        lambda c, v: pack(field, scalar_mul(field, c, unpack(field, v, n))),
+        lambda x, y: reduce(xor, [prod[x >> s & 0xF][y >> s & 0xF] for s in range(0, 4 * n, 4)]),
+        lambda v: (v | v >> 1 | v >> 2 | v >> 3) & mask,
+    )
 
-    def iso16(pv: int) -> bool:
-        acc = 0
-        while pv:
-            acc ^= f5[pv & 0xF]
-            pv >>= 4
-        return acc == 0
 
-    return iso16
+def _meet(field: Field, ops, dual: list, w: int) -> list:
+    """RREF (pivot, row) pairs of span(dual) ∩ w^perp: of the rows not
+    orthogonal to w, the one with the last pivot is eliminated from the rest."""
+    scale, pair, _ = ops
+    vals = [pair(row, w) for _, row in dual]
+    j = max((i for i, a in enumerate(vals) if a), default=None)
+    if j is None:
+        return dual
+    inv, rj = field.inverse(vals[j]), dual[j][1]
+    return [(p, row ^ scale(field.mul(a, inv), rj) if a else row)
+            for i, ((p, row), a) in enumerate(zip(dual, vals)) if i != j]
 
 
 def census(
@@ -97,20 +100,19 @@ def census(
 ):
     """Exact count (and optionally the list) of self-dual codes of length n.
 
-    Returns (count, codes) where codes is None unless with_codes is set.
+    Returns (count, codes) where codes is None unless with_codes is set;
+    codes are sorted by their RREF rows.  state_limit bounds the number of
+    search-tree nodes visited.
     """
     if q not in (2, 16):
         raise ValueError("census supports q in {2, 16}")
     field = field_for(q)
-    inner = designated_inner(field)
     if n < 2 or n % 2:
         raise ValueError("length must be a positive even integer")
     if type2 and (q != 2 or n % 8):
         raise ValueError("Type II censuses need q=2 and length divisible by 8")
 
-    # feasibility: the final level alone has this many states
-    from . import mass
-
+    # feasibility: the leaves alone are this many
     if q == 2:
         expected = mass.t_type2(n) if type2 else mass.n_sd_binary(n)
     else:
@@ -118,8 +120,12 @@ def census(
     if expected > code_limit:
         raise CensusInfeasible(f"about {expected} codes, limit {code_limit}")
 
-    iso = _iso_test(field, n, type2)
-    start_rows: tuple = ()
+    ops = scale, pair, support = _packed_ops(field, n)
+    iso = _iso_test(pair, type2)
+    b = field.bits
+    # a self-dual C lies in w^perp for each w in C, and every binary one
+    # contains the all-ones word
+    constraints = [(1 << n) - 1] if q == 2 else []
     if containing is not None:
         v = tuple(containing)
         if len(v) != n:
@@ -128,62 +134,55 @@ def census(
             field.check(s)
         if not any(v):
             raise ValueError("containing-vector must be nonzero")
-        if not iso(pack(field, v)) or not _is_isotropic(field, v, inner):
+        constraints.append(pack(field, v))
+        if not iso(constraints[-1]):
             return 0, ([] if with_codes else None)
-        start_rows = tuple(rref(field, [v], n)[0])
+    root = [(i, 1 << (i * b)) for i in range(n)]
+    for w in constraints:
+        root = _meet(field, ops, root, w)
+    found: list = []
+    count = nodes = 0
 
-    level = {tuple(pack(field, r) for r in start_rows): start_rows}
-    states = 0
-    for dim in range(len(start_rows), n // 2):
-        next_level: dict = {}
-        for rows in level.values():
-            states += 1
-            if states > state_limit:
-                raise CensusInfeasible(f"state budget {state_limit} exceeded")
-            elems = _span_packed(field, rows, n)
-            dual = kernel_basis(field, rows, n, conjugate=(inner == HERMITIAN))
-            dual_span = _span_packed(field, dual, n)
-            seen: set = set()
-            for pv in dual_span:
-                if pv in seen or pv in elems or not iso(pv):
-                    continue
-                v = unpack(field, pv, n)
-                new_rows, _ = rref(field, list(rows) + [v], n)
-                new_elems = set(elems)
-                for m in _packed_scalar_rows(field, v, n)[1:]:
-                    new_elems |= {e ^ m for e in elems}
-                seen |= new_elems
-                key = tuple(pack(field, r) for r in new_rows)
-                next_level[key] = tuple(new_rows)
-        level = next_level
-    count = len(level)
-    codes = None
-    if with_codes:
-        codes = sorted(
-            (LinearCode(field, n, rows) for rows in level.values()),
-            key=lambda c: c.rows,
-        )
-    return count, codes
+    def grow(rows: tuple, dual: list, used: int, last: int) -> None:
+        # A child appends r = (dual row of pivot p) + any combination of the
+        # dual rows with later pivots, for p > last in a column no row uses.
+        # The child's later pivots must fall in the dual's pivot columns
+        # after p that r leaves zero too; fewer than `need` is a dead end.
+        nonlocal count, nodes
+        nodes += 1
+        if nodes > state_limit:
+            raise CensusInfeasible(f"state budget {state_limit} exceeded")
+        need = n // 2 - len(rows) - 1
+        if need < 0:
+            count += 1
+            if with_codes:
+                found.append(rows)
+            return
+        lo = next((i for i, (p, _) in enumerate(dual) if p > last and not used >> p * b & 1),
+                  len(dual))
+        span = [0]  # combinations of the dual rows after index i
+        free = 0  # their pivot columns that no row uses
+        for i in range(len(dual) - 1, lo - 1, -1):
+            p, d = dual[i]
+            if not used >> p * b & 1:
+                slack = free.bit_count() - need
+                for r in (d ^ s for s in span) if slack >= 0 else ():
+                    if (free & support(r)).bit_count() <= slack and iso(r):
+                        child = _meet(field, ops, dual, r) if need else dual
+                        grow(rows + (r,), child, used | support(r), p)
+                free |= 1 << p * b
+            if i > lo:
+                span = [s ^ m for m in [scale(c, d) for c in field.elements()] for s in span]
+
+    grow((), root, 0, -1)
+    if not with_codes:
+        return count, None
+    codes = [LinearCode(field, n, tuple(unpack(field, r, n) for r in rows)) for rows in found]
+    return count, sorted(codes, key=lambda c: c.rows)
 
 
 # ---------------------------------------------------------------------------
 # words of the quintic image, by type
-
-
-_SYMBOL_PATTERN = None
-
-
-def _symbol_patterns():
-    """5-bit block pattern of quintic_map(0, s) for a single coordinate s."""
-    global _SYMBOL_PATTERN
-    if _SYMBOL_PATTERN is None:
-        pats = []
-        for s in range(16):
-            a0, a1, a2, a3 = s & 1, s >> 1 & 1, s >> 2 & 1, s >> 3 & 1
-            bits = (a0, a0 ^ a1, a1 ^ a2, a2 ^ a3, a3)
-            pats.append(sum(b << j for j, b in enumerate(bits)))
-        _SYMBOL_PATTERN = tuple(pats)
-    return _SYMBOL_PATTERN
 
 
 @lru_cache(maxsize=None)
@@ -196,11 +195,11 @@ def _type_weight_tables(ell: int, restricted: bool):
     """
     if ell < 1 or 2 ** (5 * ell) > 2**22:
         raise CensusInfeasible("brute-force type count needs 2^(5*ell) <= 2^22")
-    pats = _symbol_patterns()
     f5 = [GF16.pow(a, 5) for a in range(16)]
     # contribution of symbol c at coordinate i, in block order (bit j*ell+i)
+    blocks = [quintic_map((0,), (c,)) for c in range(16)]
     contrib = [
-        [sum((pats[c] >> j & 1) << (j * ell + i) for j in range(5)) for c in range(16)]
+        [sum(bit << (j * ell + i) for j, bit in enumerate(blocks[c])) for c in range(16)]
         for i in range(ell)
     ]
     x_rep = [sum(((x >> i) & 1) << (j * ell + i) for i in range(ell) for j in range(5))

@@ -26,6 +26,20 @@ def _emit(args, payload: dict, human: str) -> None:
         print(human)
 
 
+def _digits(val) -> str:
+    """str(val) for a computed count, which can run past the interpreter's
+    int-to-str digit limit (4300 digits by default); the limit is lifted
+    for this one conversion only."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
+        return str(val)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(val)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _load_code(path: str) -> LinearCode:
     try:
         return codes.load(path)
@@ -102,7 +116,8 @@ def cmd_mass(args) -> int:
             if args.containing
             else mass.n_sd_hermitian16_literal(ell)
         )
-        _emit(args, {"q": 16, "ell": ell, "literal": str(val)}, str(val))
+        text = _digits(val)
+        _emit(args, {"q": 16, "ell": ell, "literal": text}, text)
         return 0
     if args.q == 2:
         if args.type2:
@@ -113,7 +128,8 @@ def cmd_mass(args) -> int:
         if args.type2:
             raise UsageError("--type2 needs q=2")
         val = mass.m_sd_hermitian16(ell) if args.containing else mass.n_sd_hermitian16(ell)
-    _emit(args, {"q": args.q, "ell": ell, "count": str(val)}, str(val))
+    text = _digits(val)
+    _emit(args, {"q": args.q, "ell": ell, "count": text}, text)
     return 0
 
 
@@ -256,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("mindist", cmd_mindist, help="exact minimum distance")
     sp.add_argument("--code", required=True)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--json", action="store_true")
 
     sp = add("mass", cmd_mass, help="exact counting-formula value")
@@ -273,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--type2", action="store_true")
     sp.add_argument("--containing", metavar="SYMS")
     sp.add_argument("--list", metavar="DIR")
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--json", action="store_true")
 
     sp = add("sample", cmd_sample, help="seeded random self-dual code")
@@ -293,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ell", type=int, required=True)
     sp.add_argument("--mode", required=True, choices=[bounds.LITERAL, bounds.EXACT])
     sp.add_argument("--type2", action="store_true")
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--json", action="store_true")
 
     sp = add("asymptote", cmd_asymptote, help="CSV table of certified relative distances")

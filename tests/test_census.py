@@ -18,6 +18,23 @@ def test_census_codes_are_self_dual_and_distinct():
     assert all(c.is_self_dual(EUCLIDEAN) for c in codes)
 
 
+@pytest.mark.parametrize("q, n, type2, inner, formula", [
+    (2, 8, False, EUCLIDEAN, mass.n_sd_binary),
+    (2, 8, True, EUCLIDEAN, mass.t_type2),
+    (16, 4, False, HERMITIAN, mass.n_sd_hermitian16),
+])
+def test_census_lists_are_complete(q, n, type2, inner, formula):
+    # sorted, pairwise distinct, all self-dual (and Type II where asked),
+    # and as many as the mass formula counts: together, the whole list
+    count, codes = census.census(q, n, type2=type2, with_codes=True)
+    rows = [c.rows for c in codes]
+    assert rows == sorted(rows)
+    assert len(set(codes)) == len(codes) == count == formula(n)
+    assert all(c.is_self_dual(inner) for c in codes)
+    if type2:
+        assert all(c.is_type_ii() for c in codes)
+
+
 def test_type2_census():
     count, codes = census.census(2, 8, type2=True, with_codes=True)
     assert count == mass.t_type2(8) == 30
@@ -40,6 +57,19 @@ def test_containing_census():
         census.census(2, 4, containing=(0, 0, 0, 0))
     with pytest.raises(ValueError):
         census.census(2, 4, containing=(1, 1))
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_containing_census_matches_formula(n):
+    # one word of each even weight short of n, at seeded random positions
+    rng = random.Random(n)
+    for w in range(2, n, 2):
+        support = set(rng.sample(range(n), w))
+        word = tuple(int(i in support) for i in range(n))
+        count, _ = census.census(2, n, containing=word)
+        assert count == mass.m_sd_binary(n), word
+    # the all-ones word lies in every binary self-dual code
+    assert census.census(2, n, containing=(1,) * n)[0] == mass.n_sd_binary(n)
 
 
 def test_containing_census_covers_all_codes():
@@ -73,6 +103,14 @@ def test_census_rejects_bad_input():
         census.census(2, 3)
     with pytest.raises(census.CensusInfeasible):
         census.census(2, 10, code_limit=100)
+
+
+def test_census_state_limit():
+    # the tree of census(2, 8) has more than 135 nodes: one per code at the
+    # leaves, plus the root and the inner self-orthogonal codes
+    with pytest.raises(census.CensusInfeasible, match="state budget"):
+        census.census(2, 8, state_limit=135)
+    assert census.census(2, 8, state_limit=10**4)[0] == 135
 
 
 def test_count_words_by_type_totals():

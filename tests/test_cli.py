@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from sdgqc import mass
 from sdgqc.cli import main
 from sdgqc.codes import LinearCode, load
 from sdgqc.fields import GF2, GF16
@@ -97,6 +99,24 @@ def test_mass(capsys):
     assert rc == 2
 
 
+def test_mass_past_int_str_digit_limit(capsys):
+    # N(320) over GF(16) has 15,413 digits, past the default limit of 4,300
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(mass.n_sd_hermitian16(320))
+        want_m = str(mass.m_sd_hermitian16(320))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(want) == 15413
+    rc, out, _ = run(capsys, "mass", "--q", "16", "--ell", "320")
+    assert rc == 0 and out == want + "\n"
+    rc, out, _ = run(capsys, "mass", "--q", "16", "--ell", "320", "--containing", "--json")
+    assert rc == 0 and json.loads(out)["count"] == want_m
+    # the limit is lifted for the conversion only
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_census(capsys, tmp_path):
     rc, out, _ = run(capsys, "census", "--q", "2", "--n", "8")
     assert rc == 0 and out.strip() == "135"
@@ -134,6 +154,10 @@ def test_bound(capsys):
     assert payload["lhs"] == "16" and payload["holds"] is False
     rc, _, _ = run(capsys, "bound", "--ell", "3", "--d", "2", "--mode", "exact")
     assert rc == 2
+    # no word of the [200, 100] code is heavier than 200: terms past it are 0
+    rc, out_far, _ = run(capsys, "bound", "--ell", "40", "--d", "100000", "--mode", "exact")
+    rc2, out_201, _ = run(capsys, "bound", "--ell", "40", "--d", "201", "--mode", "exact")
+    assert rc == rc2 == 1 and out_far == out_201 and out_far.startswith("lhs=")
 
 
 def test_maxdist(capsys):
@@ -160,6 +184,11 @@ def test_entropy(capsys):
     assert abs(json.loads(out)["value"] - 0.1100278644) < 1e-8
     rc, _, _ = run(capsys, "entropy", "--q", "2", "--x", "1.5")
     assert rc == 2
+    for argv in (["--q", "1", "--x", "0.5", "--inverse"],
+                 ["--q", "2", "--x", "nan"],
+                 ["--q", "2", "--x", "nan", "--inverse"]):
+        rc, out, err = run(capsys, "entropy", *argv)
+        assert rc == 2 and out == "" and err.startswith("error: ")
 
 
 def test_selftest(capsys):
@@ -176,3 +205,8 @@ def test_usage_errors(capsys):
     assert rc == 2
     rc, _, _ = run(capsys, "mass", "--q", "3", "--ell", "4")
     assert rc == 2
+    # --threads was never implemented and is no longer accepted
+    for argv in (["mindist", "--code", "x"], ["census", "--q", "2", "--n", "4"],
+                 ["maxdist", "--ell", "40", "--mode", "exact"]):
+        rc, out, _ = run(capsys, *argv, "--threads", "1")
+        assert rc == 2 and out == ""
