@@ -1,3 +1,6 @@
+import hashlib
+import json
+import os
 import random
 
 import pytest
@@ -170,7 +173,18 @@ def test_sampler_reproducible_and_valid():
             b = census.sample_self_dual(q, 6, seed)
             assert a == b and a.rows == b.rows
             assert a.is_self_dual(inner)
-    assert census.sample_self_dual(2, 6, 0) != census.sample_self_dual(2, 6, 1) or True
+    assert census.sample_self_dual(2, 6, 0) != census.sample_self_dual(2, 6, 1)
+
+
+def test_sampler_matches_golden():
+    # frozen by scripts/make_sample_golden.py: the reproducibility contract
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures", "sample_golden.json")
+    with open(path) as f:
+        cases = json.load(f)["cases"]
+    assert {c["q"] for c in cases} == {2, 4, 16}
+    for c in cases:
+        dump = census.sample_self_dual(c["q"], c["n"], c["seed"]).dump()
+        assert hashlib.sha256(dump.encode()).hexdigest() == c["sha256"], c
 
 
 def test_sampler_hits_every_code():
