@@ -26,7 +26,7 @@ from .constructions import (
     quintic_map,
     section_shift,
 )
-from .census import CensusInfeasible, count_words_by_type, sample_self_dual
+from .census import count_words_by_type, sample_self_dual
 from . import bounds, mass
 from . import census as census
 

@@ -16,38 +16,13 @@ one, throughout.
 from __future__ import annotations
 
 import random
-from functools import lru_cache, reduce
-from operator import xor
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import mass
 from .constructions import quintic_map
-from .fields import Field, GF16, field_for
-from .codes import (
-    EUCLIDEAN,
-    HERMITIAN,
-    LinearCode,
-    inner_product,
-    kernel_basis,
-    pack,
-    rref,
-    scalar_mul,
-    symbol_mask,
-    unpack,
-    vec_add,
-)
-
-
-class CensusInfeasible(Exception):
-    """Raised when an exhaustive enumeration would exceed its budget."""
-
-
-def designated_inner(field: Field) -> str:
-    return EUCLIDEAN if field.q == 2 else HERMITIAN
-
-
-def _is_isotropic(field: Field, v, inner: str) -> bool:
-    return inner_product(field, v, v, inner) == 0
+from .fields import GF16, field_for
+from .codes import EnumerationBudgetExceeded, LinearCode, _insert, _meet, kernel_basis
 
 
 # ---------------------------------------------------------------------------
@@ -59,33 +34,6 @@ def _iso_test(pair, type2: bool):
     if type2:
         return lambda pv: pv.bit_count() % 4 == 0
     return lambda pv: pair(pv, pv) == 0
-
-
-def _packed_ops(field: Field, n: int):
-    """(scale, pair, support) on packed vectors: c*v, the designated inner
-    product <x, y>, and the nonzero columns of v (low bit of each slot)."""
-    if field.q == 2:
-        return (lambda c, v: v if c else 0), (lambda x, y: (x & y).bit_count() & 1), (lambda v: v)
-    mask = symbol_mask(field, n)
-    prod = [[field.mul(a, field.conjugate(c)) for c in field.elements()] for a in field.elements()]
-    return (
-        lambda c, v: pack(field, scalar_mul(field, c, unpack(field, v, n))),
-        lambda x, y: reduce(xor, [prod[x >> s & 0xF][y >> s & 0xF] for s in range(0, 4 * n, 4)]),
-        lambda v: (v | v >> 1 | v >> 2 | v >> 3) & mask,
-    )
-
-
-def _meet(field: Field, ops, dual: list, w: int) -> list:
-    """RREF (pivot, row) pairs of span(dual) ∩ w^perp: of the rows not
-    orthogonal to w, the one with the last pivot is eliminated from the rest."""
-    scale, pair, _ = ops
-    vals = [pair(row, w) for _, row in dual]
-    j = max((i for i, a in enumerate(vals) if a), default=None)
-    if j is None:
-        return dual
-    inv, rj = field.inverse(vals[j]), dual[j][1]
-    return [(p, row ^ scale(field.mul(a, inv), rj) if a else row)
-            for i, ((p, row), a) in enumerate(zip(dual, vals)) if i != j]
 
 
 def census(
@@ -118,66 +66,60 @@ def census(
     else:
         expected = mass.n_sd_hermitian16(n)
     if expected > code_limit:
-        raise CensusInfeasible(f"about {expected} codes, limit {code_limit}")
+        raise EnumerationBudgetExceeded(f"about {expected} codes, limit {code_limit}")
 
-    ops = scale, pair, support = _packed_ops(field, n)
+    ops = scale, pair, support = field.packed_ops(n)
     iso = _iso_test(pair, type2)
-    b = field.bits
     # a self-dual C lies in w^perp for each w in C, and every binary one
     # contains the all-ones word
     constraints = [(1 << n) - 1] if q == 2 else []
     if containing is not None:
-        v = tuple(containing)
-        if len(v) != n:
-            raise ValueError("containing-vector length mismatch")
-        for s in v:
-            field.check(s)
-        if not any(v):
+        word = LinearCode.from_rows(field, n, [containing])
+        if not word.k:
             raise ValueError("containing-vector must be nonzero")
-        constraints.append(pack(field, v))
-        if not iso(constraints[-1]):
+        constraints += word.basis
+        if not iso(word.basis[0]):
             return 0, ([] if with_codes else None)
-    root = [(i, 1 << (i * b)) for i in range(n)]
-    for w in constraints:
-        root = _meet(field, ops, root, w)
     found: list = []
     count = nodes = 0
 
     def grow(rows: tuple, dual: list, used: int, last: int) -> None:
         # A child appends r = (dual row of pivot p) + any combination of the
         # dual rows with later pivots, for p > last in a column no row uses.
+        # A dual row's pivot symbol is 1, so its lowest set bit marks p.
         # The child's later pivots must fall in the dual's pivot columns
         # after p that r leaves zero too; fewer than `need` is a dead end.
         nonlocal count, nodes
         nodes += 1
         if nodes > state_limit:
-            raise CensusInfeasible(f"state budget {state_limit} exceeded")
+            raise EnumerationBudgetExceeded(f"state budget {state_limit} exceeded")
         need = n // 2 - len(rows) - 1
         if need < 0:
             count += 1
             if with_codes:
                 found.append(rows)
             return
-        lo = next((i for i, (p, _) in enumerate(dual) if p > last and not used >> p * b & 1),
-                  len(dual))
+        lo = next((i for i, d in enumerate(dual) if d & -d > last and not used & d & -d), len(dual))
         span = [0]  # combinations of the dual rows after index i
         free = 0  # their pivot columns that no row uses
         for i in range(len(dual) - 1, lo - 1, -1):
-            p, d = dual[i]
-            if not used >> p * b & 1:
+            d = dual[i]
+            p = d & -d
+            if not used & p:
                 slack = free.bit_count() - need
                 for r in (d ^ s for s in span) if slack >= 0 else ():
                     if (free & support(r)).bit_count() <= slack and iso(r):
                         child = _meet(field, ops, dual, r) if need else dual
                         grow(rows + (r,), child, used | support(r), p)
-                free |= 1 << p * b
+                free |= p
             if i > lo:
                 span = [s ^ m for m in [scale(c, d) for c in field.elements()] for s in span]
 
-    grow((), root, 0, -1)
+    grow((), kernel_basis(field, constraints, n), 0, 0)
     if not with_codes:
         return count, None
-    codes = [LinearCode(field, n, tuple(unpack(field, r, n) for r in rows)) for rows in found]
+    # sorted on the tuple view: packed-int order differs from it
+    codes = [LinearCode(field, n, rows) for rows in found]
     return count, sorted(codes, key=lambda c: c.rows)
 
 
@@ -194,7 +136,7 @@ def _type_weight_tables(ell: int, restricted: bool):
     enumerated.
     """
     if ell < 1 or 2 ** (5 * ell) > 2**22:
-        raise CensusInfeasible("brute-force type count needs 2^(5*ell) <= 2^22")
+        raise EnumerationBudgetExceeded("brute-force type count needs 2^(5*ell) <= 2^22")
     f5 = [GF16.pow(a, 5) for a in range(16)]
     # contribution of symbol c at coordinate i, in block order (bit j*ell+i)
     blocks = [quintic_map((0,), (c,)) for c in range(16)]
@@ -245,45 +187,34 @@ def count_words_by_type(ell: int, d: int, restricted: bool = False):
 # sampling
 
 
-def _reduce_against(field: Field, rows, v):
-    w = list(v)
-    for row in rows:
-        p = next(i for i, s in enumerate(row) if s)
-        if w[p]:
-            coef = w[p]
-            w = [a ^ field.mul(coef, b) for a, b in zip(w, row)]
-    return tuple(w)
-
-
 def sample_self_dual(q: int, n: int, seed: int, max_tries: int = 100000) -> LinearCode:
     """A uniformly random self-dual code, bit-exact reproducible per seed.
 
     Grows the code by repeatedly drawing a uniform element of the current
-    dual until it is isotropic and outside the current span.
+    dual until it is isotropic and outside the current span.  A draw takes
+    one rng.randrange(q) per row of the dual's reduced echelon basis pivoted
+    on each row's last nonzero column, in ascending pivot order; that basis
+    is unique, so the draws are fixed by the seed.
     """
     field = field_for(q)
-    inner = designated_inner(field)
     if n < 2 or n % 2:
         raise ValueError("length must be a positive even integer")
+    ops = scale, pair, _ = field.packed_ops(n)
     rng = random.Random(seed)
     rows: list = []
-    zero = (0,) * n
+    # held last pivot first, the order in which _meet keeps it reduced
+    dual = [1 << i * field.bits for i in reversed(range(n))]
     while len(rows) < n // 2:
-        dual = kernel_basis(field, rows, n, conjugate=(inner == HERMITIAN))
         for _ in range(max_tries):
-            w = zero
-            for b in dual:
+            w = 0
+            for d in reversed(dual):
                 c = rng.randrange(q)
                 if c:
-                    w = vec_add(w, scalar_mul(field, c, b))
-            if not any(w):
-                continue
-            if not _is_isotropic(field, w, inner):
-                continue
-            if not any(_reduce_against(field, rows, w)):
-                continue
-            rows, _ = rref(field, rows + [w], n)
-            break
+                    w ^= scale(c, d)
+            if w and pair(w, w) == 0 and _insert(field, scale, rows, w):
+                break
         else:
             raise RuntimeError("sampler failed to extend; raise max_tries")
+        if len(rows) < n // 2:
+            dual = _meet(field, ops, dual, w)
     return LinearCode(field, n, tuple(rows))

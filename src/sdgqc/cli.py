@@ -27,7 +27,7 @@ def _emit(args, payload: dict, human: str) -> None:
 
 
 def _digits(val) -> str:
-    """str(val) for a computed count, which can run past the interpreter's
+    """str(val) for a computed number, which can run past the interpreter's
     int-to-str digit limit (4300 digits by default); the limit is lifted
     for this one conversion only."""
     if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
@@ -44,7 +44,7 @@ def _load_code(path: str) -> LinearCode:
     try:
         return codes.load(path)
     except OSError as e:
-        raise SystemExit(f"error: cannot read {path}: {e.strerror}")
+        raise UsageError(f"cannot read {path}: {e.strerror}")
     except ValueError as e:
         raise UsageError(f"bad code file {path}: {e}")
 
@@ -64,6 +64,9 @@ def _write_code(code: LinearCode, out) -> None:
 
 
 def cmd_construct(args) -> int:
+    if args.construction == "gqc" and args.interleave:
+        raise UsageError("--interleave does not apply to --construction gqc: its inputs are "
+                         "interleaved already")
     c1 = _load_code(args.c1)
     c2 = _load_code(args.c2)
     if args.construction == "cubic":
@@ -163,12 +166,12 @@ def cmd_bound(args) -> int:
         "d": rep.d,
         "mode": rep.mode,
         "type2": rep.type2,
-        "lhs": str(rep.lhs),
-        "rhs": str(rep.rhs),
+        "lhs": _digits(rep.lhs),
+        "rhs": _digits(rep.rhs),
         "holds": rep.holds,
-        "delta": str(rep.delta),
+        "delta": _digits(rep.delta),
     }
-    human = f"lhs={rep.lhs} rhs={rep.rhs} holds={str(rep.holds).lower()}"
+    human = f"lhs={payload['lhs']} rhs={payload['rhs']} holds={str(rep.holds).lower()}"
     _emit(args, payload, human)
     return 0 if rep.holds else 1
 
@@ -337,11 +340,8 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, census.CensusInfeasible, codes.EnumerationBudgetExceeded) as e:
+    except (ValueError, codes.EnumerationBudgetExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except SystemExit as e:
-        print(e, file=sys.stderr)
         return 2
 
 

@@ -2,13 +2,16 @@
 
 A code is identified with the unique reduced row-echelon form of its
 generator matrix, so two LinearCode objects are equal iff they describe the
-same set of codewords.  Binary codewords are enumerated as packed bit ints
-with a Gray-code walk; GF(4)/GF(16) vectors are packed 2-/4-bit symbol
-arrays.
+same set of codewords.  Below the API every vector is a packed int (see
+`Field.packed_ops`): symbol i sits in bits [i*bits, (i+1)*bits), so a row's
+pivot, its first nonzero column, is its lowest set bit.  Symbol tuples
+appear only at the boundary: `from_rows`, `contains`, the `rows` view and
+the text format.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Iterable, Iterator, Sequence
 
 from .fields import Field, GF2, field_for
@@ -23,34 +26,7 @@ FORMAT_HEADER = "sdgqc-code v1"
 
 
 class EnumerationBudgetExceeded(Exception):
-    """Raised when an exhaustive codeword enumeration would be too large."""
-
-
-def vec_add(u: tuple, v: tuple) -> tuple:
-    # addition is XOR of encodings in every supported field
-    return tuple(a ^ b for a, b in zip(u, v))
-
-
-def scalar_mul(field: Field, c: int, v: tuple) -> tuple:
-    row = field._mul[c]
-    return tuple(row[a] for a in v)
-
-
-def vec_weight(v: Iterable[int]) -> int:
-    return sum(1 for s in v if s)
-
-
-def inner_product(field: Field, u: tuple, v: tuple, inner: str) -> int:
-    if inner == EUCLIDEAN:
-        sigma = v
-    elif inner == HERMITIAN:
-        sigma = [field.conjugate(b) for b in v]
-    else:
-        raise ValueError(f"unknown inner product {inner!r}")
-    acc = 0
-    for a, b in zip(u, sigma):
-        acc ^= field.mul(a, b)
-    return acc
+    """Raised when an exhaustive enumeration would exceed its budget."""
 
 
 def check_inner(field: Field, inner: str) -> None:
@@ -62,57 +38,6 @@ def check_inner(field: Field, inner: str) -> None:
         raise ValueError(f"unknown inner product {inner!r}")
 
 
-def rref(field: Field, rows: Sequence[Sequence[int]], n: int):
-    """Reduced row-echelon form; returns (rows, pivot_columns)."""
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = field.inverse(mat[r][c])
-        if inv != 1:
-            mat[r] = [field.mul(inv, a) for a in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                coef = mat[i][c]
-                mat[i] = [a ^ field.mul(coef, b) for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return [tuple(row) for row in mat[:r]], pivots
-
-
-def kernel_basis(field: Field, rows: Sequence[Sequence[int]], n: int, conjugate: bool = False):
-    """Basis of {v : M v = 0} where M is `rows`, optionally conjugated."""
-    if conjugate:
-        mat = [tuple(field.conjugate(a) for a in r) for r in rows]
-    else:
-        mat = list(rows)
-    reduced, pivots = rref(field, mat, n)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        v = [0] * n
-        v[free] = 1
-        for j, p in enumerate(pivots):
-            v[p] = reduced[j][free]
-        basis.append(tuple(v))
-    return basis
-
-
-# ---------------------------------------------------------------------------
-# packed-int helpers (shared with the census machinery)
-
 def pack(field: Field, v: Sequence[int]) -> int:
     b = field.bits
     acc = 0
@@ -121,41 +46,79 @@ def pack(field: Field, v: Sequence[int]) -> int:
     return acc
 
 
-def unpack(field: Field, pv: int, n: int) -> tuple:
-    b = field.bits
-    mask = (1 << b) - 1
-    return tuple(pv >> (i * b) & mask for i in range(n))
+def _reduce(field: Field, scale, rows, v: int) -> int:
+    """Residue of packed v after elimination against packed RREF rows."""
+    m = field.q - 1
+    for r in rows:
+        c = v >> (r & -r).bit_length() - 1 & m  # v's symbol at r's pivot
+        if c:
+            v ^= scale(c, r)
+    return v
 
 
-def symbol_mask(field: Field, n: int) -> int:
-    """Mask with bit 1 at the low bit of every symbol slot."""
-    b = field.bits
-    m = 0
-    for i in range(n):
-        m |= 1 << (i * b)
-    return m
+def _insert(field: Field, scale, rows: list, v: int) -> bool:
+    """Add packed v to the RREF rows in place, keeping them in pivot order;
+    False, with rows unchanged, if v lies in their span."""
+    v = _reduce(field, scale, rows, v)
+    if not v:
+        return False
+    m = field.q - 1
+    t = (v & -v).bit_length() - 1
+    t -= t % field.bits  # the first bit of v's pivot slot
+    v = scale(field.inverse(v >> t & m), v)
+    for i, r in enumerate(rows):
+        c = r >> t & m
+        if c:
+            rows[i] = r ^ scale(c, v)
+    insort(rows, v, key=lambda r: r & -r)
+    return True
 
 
-def packed_weight(field: Field, pv: int, mask: int) -> int:
-    """Number of nonzero symbols of a packed vector."""
-    b = field.bits
-    t = pv
-    for sh in range(1, b):
-        t |= pv >> sh
-    return (t & mask).bit_count()
+def _meet(field: Field, ops, dual: list, w: int) -> list:
+    """span(dual) ∩ w^perp: of the rows not orthogonal to w, the last one is
+    eliminated from the others.  An echelon basis stays one, in its order:
+    by ascending first nonzero column (RREF), or by descending last one."""
+    scale, pair, _ = ops
+    vals = [pair(row, w) for row in dual]
+    j = max((i for i, a in enumerate(vals) if a), default=None)
+    if j is None:
+        return dual
+    inv, rj = field.inverse(vals[j]), dual[j]
+    return [row ^ scale(field.mul(a, inv), rj) if a else row
+            for i, (row, a) in enumerate(zip(dual, vals)) if i != j]
+
+
+def rref(field: Field, rows: Iterable[int], n: int) -> list:
+    """The reduced row-echelon basis of the span of packed rows, by pivot."""
+    scale = field.packed_ops(n)[0]
+    basis: list = []
+    for v in rows:
+        _insert(field, scale, basis, v)
+    return basis
+
+
+def kernel_basis(field: Field, rows: Iterable[int], n: int) -> list:
+    """RREF basis of {v : <r, v> = 0 for every packed row r}, in the
+    designated inner product."""
+    ops = field.packed_ops(n)
+    dual = [1 << i * field.bits for i in range(n)]
+    for r in rows:
+        dual = _meet(field, ops, dual, r)
+    return dual
 
 
 class LinearCode:
-    """A k-dimensional length-n code held as a canonical RREF generator."""
+    """A k-dimensional length-n code held as its canonical RREF generator:
+    `basis` holds the packed rows by pivot, `rows` is their tuple view."""
 
-    __slots__ = ("field", "n", "k", "rows")
+    __slots__ = ("field", "n", "k", "basis")
 
-    def __init__(self, field: Field, n: int, rows: tuple):
-        # rows must already be canonical; use from_rows for arbitrary input
+    def __init__(self, field: Field, n: int, basis: tuple):
+        # basis must already be canonical; use from_rows for arbitrary input
         self.field = field
         self.n = n
-        self.rows = rows
-        self.k = len(rows)
+        self.basis = basis
+        self.k = len(basis)
 
     @classmethod
     def from_rows(cls, field: Field, n: int, rows: Iterable[Sequence[int]]) -> "LinearCode":
@@ -165,59 +128,51 @@ class LinearCode:
                 raise ValueError(f"row of length {len(r)}, expected {n}")
             for s in r:
                 field.check(s)
-        reduced, _ = rref(field, rows, n)
-        return cls(field, n, tuple(reduced))
+        return cls(field, n, tuple(rref(field, [pack(field, r) for r in rows], n)))
 
     @classmethod
     def zero(cls, field: Field, n: int) -> "LinearCode":
         return cls(field, n, ())
+
+    @property
+    def rows(self) -> tuple:
+        """The generator rows as symbol tuples."""
+        b, m = self.field.bits, self.field.q - 1
+        return tuple(tuple(r >> i * b & m for i in range(self.n)) for r in self.basis)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LinearCode)
             and self.field.q == other.field.q
             and self.n == other.n
-            and self.rows == other.rows
+            and self.basis == other.basis
         )
 
     def __hash__(self) -> int:
-        return hash((self.field.q, self.n, self.rows))
+        return hash((self.field.q, self.n, self.basis))
 
     def __repr__(self) -> str:
         return f"LinearCode(GF({self.field.q}), n={self.n}, k={self.k})"
 
     # -- membership and duality --------------------------------------------
 
-    def reduce(self, v: Sequence[int]) -> tuple:
-        """Residue of v after elimination against the generator rows."""
-        if len(v) != self.n:
-            raise ValueError("length mismatch")
-        w = list(v)
-        for row in self.rows:
-            p = next(i for i, s in enumerate(row) if s)
-            if w[p]:
-                coef = w[p]  # pivot entry of row is 1
-                w = [a ^ self.field.mul(coef, b) for a, b in zip(w, row)]
-        return tuple(w)
-
     def contains(self, v: Sequence[int]) -> bool:
         for s in v:
             self.field.check(s)
-        return not any(self.reduce(v))
+        if len(v) != self.n:
+            raise ValueError("length mismatch")
+        scale = self.field.packed_ops(self.n)[0]
+        return not _reduce(self.field, scale, self.basis, pack(self.field, v))
 
     def dual(self, inner: str) -> "LinearCode":
         """Null space w.r.t. the chosen inner product."""
         check_inner(self.field, inner)
-        basis = kernel_basis(self.field, self.rows, self.n, conjugate=(inner == HERMITIAN))
-        return LinearCode.from_rows(self.field, self.n, basis)
+        return LinearCode(self.field, self.n, tuple(kernel_basis(self.field, self.basis, self.n)))
 
     def is_self_orthogonal(self, inner: str) -> bool:
         check_inner(self.field, inner)
-        return all(
-            inner_product(self.field, u, v, inner) == 0
-            for i, u in enumerate(self.rows)
-            for v in self.rows[i:]
-        )
+        pair = self.field.packed_ops(self.n)[1]
+        return all(pair(u, v) == 0 for i, u in enumerate(self.basis) for v in self.basis[i:])
 
     def is_self_dual(self, inner: str) -> bool:
         return 2 * self.k == self.n and self.is_self_orthogonal(inner)
@@ -228,7 +183,7 @@ class LinearCode:
             raise ValueError("Type II is a binary notion")
         if not self.is_self_dual(EUCLIDEAN):
             return False
-        return all(vec_weight(r) % 4 == 0 for r in self.rows)
+        return all(r.bit_count() % 4 == 0 for r in self.basis)
 
     # -- enumeration --------------------------------------------------------
 
@@ -238,23 +193,17 @@ class LinearCode:
                 f"{self.field.q}^{self.k} codewords exceeds budget {budget}"
             )
 
-    def packed_rows(self) -> list:
-        return [pack(self.field, r) for r in self.rows]
-
     def iter_packed(self) -> Iterator[int]:
         """All q^k codewords as packed ints (zero word first)."""
         if self.field.q == 2:
-            rows = self.packed_rows()
             word = 0
             yield word
             for i in range(1, 1 << self.k):
-                word ^= rows[(i & -i).bit_length() - 1]
+                word ^= self.basis[(i & -i).bit_length() - 1]
                 yield word
             return
-        srows = [
-            [pack(self.field, scalar_mul(self.field, c, r)) for c in self.field.elements()]
-            for r in self.rows
-        ]
+        scale = self.field.packed_ops(self.n)[0]
+        srows = [[scale(c, r) for c in self.field.elements()] for r in self.basis]
 
         def rec(i: int, acc: int):
             if i == len(srows):
@@ -265,17 +214,13 @@ class LinearCode:
 
         yield from rec(0, 0)
 
-    def words(self) -> Iterator[tuple]:
-        for pv in self.iter_packed():
-            yield unpack(self.field, pv, self.n)
-
     def weight_tally(self, budget: int = DEFAULT_BUDGET) -> dict:
         """Exact weight distribution {weight: count}."""
         self._check_budget(budget)
-        mask = symbol_mask(self.field, self.n)
+        support = self.field.packed_ops(self.n)[2]
         tally: dict = {}
         for pv in self.iter_packed():
-            w = packed_weight(self.field, pv, mask)
+            w = support(pv).bit_count()
             tally[w] = tally.get(w, 0) + 1
         return tally
 
@@ -284,12 +229,12 @@ class LinearCode:
         if self.k == 0:
             raise ValueError("the zero code has no minimum distance")
         self._check_budget(budget)
-        mask = symbol_mask(self.field, self.n)
+        support = self.field.packed_ops(self.n)[2]
         best = self.n + 1
         for pv in self.iter_packed():
             if pv == 0:
                 continue
-            w = packed_weight(self.field, pv, mask)
+            w = support(pv).bit_count()
             if w < best:
                 best = w
         return best

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .fields import GF2, GF4, GF16, ALPHA, OMEGA, expand_binary
-from .codes import LinearCode, scalar_mul
+from .codes import LinearCode
 
 
 def _check_bits(x: Sequence[int]) -> tuple:
@@ -68,7 +68,7 @@ def _image_code(c1: LinearCode, c2: LinearCode, phi, scalars, field2, factor: in
     rows = [phi(g, zero_s) for g in c1.rows]
     for g in c2.rows:
         for c in scalars:
-            rows.append(phi(zero_x, scalar_mul(field2, c, g)))
+            rows.append(phi(zero_x, tuple(field2.mul(c, a) for a in g)))
     code = LinearCode.from_rows(GF2, factor * ell, rows)
     assert code.k == c1.k + len(scalars) * c2.k  # phi is injective and linear
     return code

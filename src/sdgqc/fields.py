@@ -32,7 +32,8 @@ class Field:
             raise ValueError(f"unsupported field size {q}")
         self.q = q
         self.bits = q.bit_length() - 1  # bits per symbol: 1, 2 or 4
-        self._mul = [[self._polymul_mod(a, b) for b in range(q)] for a in range(q)]
+        times = self._scaler(1)
+        self._mul = [[times(a, b) for b in range(q)] for a in range(q)]
         self._inv = [0] * q
         for a in range(1, q):
             for b in range(1, q):
@@ -40,18 +41,71 @@ class Field:
                     self._inv[a] = b
                     break
 
-    def _polymul_mod(self, a: int, b: int) -> int:
-        mod = _MODULUS[self.q]
-        deg = self.bits
-        r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if a >> deg & 1:
-                a ^= mod
-        return r
+    def _scaler(self, n: int):
+        """c*v for packed vectors of length n (see packed_ops).
+
+        Bit j of every symbol slot forms bit plane j, and v = sum of x^j * v_j
+        over the planes.  Multiplying by x moves each plane up one and folds
+        the top plane back through the modulus: x^bits = red.  c*v is then
+        the XOR of x^j * v over the set bits j of c.  At n=1 this is the
+        field multiplication itself.
+        """
+        b = self.bits
+        low = ((1 << b * n) - 1) // (self.q - 1)  # the low bit of every slot
+        keep = low * ((1 << b - 1) - 1)  # every plane but the top one
+        red = _MODULUS[self.q] ^ 1 << b
+
+        def scale(c: int, v: int) -> int:
+            acc = 0
+            while c:
+                if c & 1:
+                    acc ^= v
+                c >>= 1
+                v = (v & keep) << 1 ^ (v >> b - 1 & low) * red
+            return acc
+
+        return scale
+
+    def packed_ops(self, n: int):
+        """(scale, pair, support) on packed vectors of length n.
+
+        A packed vector holds symbol i in bits [i*bits, (i+1)*bits), so its
+        first nonzero column is its lowest set bit.  scale(c, v) is c*v;
+        pair(u, v) is the designated inner product, sum u_i*v_i over GF(2)
+        and the Hermitian sum u_i*conj(v_i) over GF(4)/GF(16); support(v) has
+        the low bit of every nonzero symbol slot of v set.
+        """
+        if self.q == 2:
+            return (lambda c, v: v if c else 0), (lambda u, v: (u & v).bit_count() & 1), (lambda v: v)
+        b = self.bits
+        low = ((1 << b * n) - 1) // (self.q - 1)
+        # Both moduli are 1 + x + ... + x^bits, so x^(bits+1) = 1 and
+        # conj(x^j) = x^-j: plane i of u meeting plane j of v adds x^(i-j)
+        # once per shared set bit.  Parity is additive under XOR, so the
+        # meetings are XORed per power of x before one popcount each.
+        groups: dict = {}
+        for s in range(1 - b, b):
+            planes = sum(low << i for i in range(b) if 0 <= i - s < b)
+            groups.setdefault(self.pow(2, s % (b + 1)), []).append((s, planes))
+        groups = list(groups.items())
+
+        def pair(u: int, v: int) -> int:
+            acc = 0
+            for t, meetings in groups:
+                g = 0
+                for s, planes in meetings:
+                    g ^= u & (v << s if s > 0 else v >> -s) & planes
+                if g.bit_count() & 1:
+                    acc ^= t
+            return acc
+
+        def support(v: int) -> int:
+            t = v
+            for sh in range(1, b):
+                t |= v >> sh
+            return t & low
+
+        return self._scaler(n), pair, support
 
     def check(self, a: int) -> int:
         if not 0 <= a < self.q:

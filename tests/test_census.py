@@ -6,13 +6,18 @@ import random
 import pytest
 
 from sdgqc import census, mass
-from sdgqc.codes import EUCLIDEAN, HERMITIAN
+from sdgqc.codes import EUCLIDEAN, HERMITIAN, EnumerationBudgetExceeded
 
 
 def test_binary_census_matches_formula():
     for n in (2, 4, 6, 8, 10):
         count, _ = census.census(2, n)
         assert count == mass.n_sd_binary(n)
+
+
+def test_binary_census_n12():
+    # one length past the old census's reach
+    assert census.census(2, 12)[0] == mass.n_sd_binary(12) == 75735
 
 
 def test_census_codes_are_self_dual_and_distinct():
@@ -104,14 +109,14 @@ def test_census_rejects_bad_input():
         census.census(4, 2)
     with pytest.raises(ValueError):
         census.census(2, 3)
-    with pytest.raises(census.CensusInfeasible):
+    with pytest.raises(EnumerationBudgetExceeded):
         census.census(2, 10, code_limit=100)
 
 
 def test_census_state_limit():
     # the tree of census(2, 8) has more than 135 nodes: one per code at the
     # leaves, plus the root and the inner self-orthogonal codes
-    with pytest.raises(census.CensusInfeasible, match="state budget"):
+    with pytest.raises(EnumerationBudgetExceeded, match="state budget"):
         census.census(2, 8, state_limit=135)
     assert census.census(2, 8, state_limit=10**4)[0] == 135
 
@@ -162,7 +167,7 @@ def test_count_words_by_type_restricted():
 
 
 def test_count_words_by_type_budget():
-    with pytest.raises(census.CensusInfeasible):
+    with pytest.raises(EnumerationBudgetExceeded):
         census.count_words_by_type(5, 2)
 
 

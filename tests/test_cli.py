@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from sdgqc import mass
+from sdgqc import bounds, mass
 from sdgqc.cli import main
 from sdgqc.codes import LinearCode, load
 from sdgqc.fields import GF2, GF16
@@ -55,9 +55,10 @@ def test_construct_quintic_stdout(capsys, rep2, herm2):
 
 
 def test_construct_missing_file(capsys, rep2):
-    rc, _, err = run(capsys, "construct", "--c1", rep2, "--c2", "/nonexistent",
-                     "--construction", "cubic")
-    assert rc == 2
+    rc, out, err = run(capsys, "construct", "--c1", rep2, "--c2", "/nonexistent",
+                       "--construction", "cubic")
+    assert rc == 2 and out == ""
+    assert err == "error: cannot read /nonexistent: No such file or directory\n"
 
 
 def test_verify(capsys, rep2, herm2, tmp_path):
@@ -160,6 +161,24 @@ def test_bound(capsys):
     assert rc == rc2 == 1 and out_far == out_201 and out_far.startswith("lhs=")
 
 
+def test_bound_past_int_str_digit_limit(capsys):
+    # the rhs at ell=8000 has over 6,000 digits, past the default limit of 4,300
+    rep = bounds.theorem1_check(8000, 3, "exact")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        lhs, rhs, delta = str(rep.lhs), str(rep.rhs), str(rep.delta)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(rhs) > 4300
+    rc, out, _ = run(capsys, "bound", "--ell", "8000", "--d", "3", "--mode", "exact")
+    assert rc in (0, 1) and out == f"lhs={lhs} rhs={rhs} holds={str(rep.holds).lower()}\n"
+    rc, out, _ = run(capsys, "bound", "--ell", "8000", "--d", "3", "--mode", "exact", "--json")
+    payload = json.loads(out)
+    assert rc in (0, 1) and (payload["lhs"], payload["rhs"], payload["delta"]) == (lhs, rhs, delta)
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_maxdist(capsys):
     rc, out, _ = run(capsys, "maxdist", "--ell", "40", "--mode", "exact")
     assert rc == 0 and out.strip() == "24"
@@ -210,3 +229,7 @@ def test_usage_errors(capsys):
                  ["maxdist", "--ell", "40", "--mode", "exact"]):
         rc, out, _ = run(capsys, *argv, "--threads", "1")
         assert rc == 2 and out == ""
+    # the gqc inputs are interleaved already: --interleave is refused, not ignored
+    rc, out, err = run(capsys, "construct", "--c1", "x", "--c2", "y",
+                       "--construction", "gqc", "--interleave")
+    assert rc == 2 and out == "" and "--interleave" in err

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from sdgqc import census
-from sdgqc.codes import EUCLIDEAN, HERMITIAN, LinearCode, extended_hamming_code, vec_add
+from sdgqc.codes import EUCLIDEAN, HERMITIAN, LinearCode, extended_hamming_code
 from sdgqc.constructions import (
     block_rotate,
     crt_components,
@@ -21,6 +21,11 @@ from sdgqc.fields import GF2, GF4, GF16
 
 def bits(s):
     return tuple(int(c) for c in s)
+
+
+def vec_add(u, v):
+    # addition is XOR of encodings in every supported field
+    return tuple(a ^ b for a, b in zip(u, v))
 
 
 def rand_vec(rng, q, n):
