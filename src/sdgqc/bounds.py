@@ -21,8 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from numbers import Rational
-from typing import Iterable, List
+from typing import Iterable, Iterator, List
 
 LITERAL = "literal"
 EXACT = "exact"
@@ -106,7 +107,8 @@ def _term(ell: int, e: int, mode: str, coef2: int, coef16: int) -> int:
 
     The A2 part is the printed `a2_bound(ell, e, LITERAL)` in both modes,
     not the exact `a2_bound(ell, e)`: it bounds the true count only for
-    e <= 2*ell.
+    e <= 2*ell.  This closed form is the reference for `_summands`, which
+    the left-hand sides are summed from.
     """
     if mode == EXACT and (e == 0 or e % 2):
         return 0
@@ -136,12 +138,42 @@ def _coefficients(ell: int, mode: str, type2: bool):
     return coef2, coef16, rhs
 
 
+def _summands(ell: int, mode: str, coef2: int, coef16: int) -> Iterator[int]:
+    """`_term(ell, e, mode, coef2, coef16)` for e = 0, 1, ..., 5*ell.
+
+    C(5*ell, e), the printed C(ell, e/2)*15^(e/2) and C(ell, e/5) are each
+    stepped forward by their multiplicative recurrence rather than
+    recomputed from scratch: C(m, e+1) = C(m, e)*(m-e)/(e+1), exactly.
+    """
+    m = 5 * ell
+    skip = mode == EXACT  # the zero word and odd weights
+    a1 = a2 = a3 = 1  # C(m, e), C(ell, e/2)*15^(e/2), C(ell, e/5)
+    for e in range(m + 1):
+        even = not e % 2
+        if skip and (e == 0 or not even):
+            yield 0
+        else:
+            t = a1
+            if even:
+                t += coef2 * a2
+            if e % 5 == 0:
+                t += coef16 * a3
+            yield t
+        a1 = a1 * (m - e) // (e + 1)
+        if even:
+            h = e // 2
+            a2 = a2 * 15 * (ell - h) // (h + 1)
+        if e % 5 == 0:
+            f = e // 5
+            a3 = a3 * (ell - f) // (f + 1)
+
+
 def _check(ell: int, d: int, mode: str, type2: bool) -> BoundReport:
     if d < 1:
         raise ValueError("d must be >= 1")
     coef2, coef16, rhs = _coefficients(ell, mode, type2)
     # no word is heavier than 5*ell, and every later term is zero
-    lhs = sum(_term(ell, e, mode, coef2, coef16) for e in range(min(d, 5 * ell + 1)))
+    lhs = sum(islice(_summands(ell, mode, coef2, coef16), d))
     return BoundReport(ell, d, mode, type2, lhs, rhs, lhs < rhs, Fraction(d, 5 * ell))
 
 
@@ -162,16 +194,14 @@ def max_distance(ell: int, mode: str, type2: bool = False):
     Returns (d_star, report_at_d_star).
     """
     coef2, coef16, rhs = _coefficients(ell, mode, type2)
-    lhs = 0
-    last = None
-    for d in range(1, 5 * ell + 2):
-        lhs += _term(ell, d - 1, mode, coef2, coef16)
-        if lhs >= rhs:
-            if last is None:
-                return 0, None
-            return last.d, last
-        last = BoundReport(ell, d, mode, type2, lhs, rhs, True, Fraction(d, 5 * ell))
-    return last.d, last
+    d_star = lhs = 0
+    for d, term in enumerate(_summands(ell, mode, coef2, coef16), 1):
+        if lhs + term >= rhs:
+            break
+        d_star, lhs = d, lhs + term
+    if not d_star:
+        return 0, None
+    return d_star, BoundReport(ell, d_star, mode, type2, lhs, rhs, True, Fraction(d_star, 5 * ell))
 
 
 def mode_discrepancies(max_ell: int = 64) -> List[tuple]:
@@ -182,9 +212,10 @@ def mode_discrepancies(max_ell: int = 64) -> List[tuple]:
         lit2, lit16, lit_rhs = _coefficients(ell, LITERAL, False)
         ex2, ex16, ex_rhs = _coefficients(ell, EXACT, False)
         lit_lhs = ex_lhs = 0
-        for d in range(1, 5 * ell // 2 + 1):
-            lit_lhs += _term(ell, d - 1, LITERAL, lit2, lit16)
-            ex_lhs += _term(ell, d - 1, EXACT, ex2, ex16)
+        terms = zip(_summands(ell, LITERAL, lit2, lit16), _summands(ell, EXACT, ex2, ex16))
+        for d, (lit, ex) in enumerate(islice(terms, 5 * ell // 2), 1):
+            lit_lhs += lit
+            ex_lhs += ex
             if (lit_lhs < lit_rhs) != (ex_lhs < ex_rhs):
                 out.append((ell, d))
     return out

@@ -36,6 +36,25 @@ def _iso_test(pair, type2: bool):
     return lambda pv: pair(pv, pv) == 0
 
 
+#: a count known to exceed 2^E for E past this is refused without being
+#: computed; up to it the count has under 4,300 digits (the default
+#: int-to-str limit) and its product takes microseconds
+_EXACT_BITS = 14_000
+
+
+def _count_exponent(q: int, n: int, type2: bool) -> int:
+    """E with 2^E <= the number of self-dual codes the census would list.
+
+    Each factor 2^a + 1 of the mass formula exceeds 2^a, so E sums the
+    exponents a (plus 1 for the leading 2 of the Type II count).
+    """
+    h = n // 2
+    if q == 16:
+        return 2 * h * h  # a = 4i + 2 for 0 <= i < h
+    m = h - 2 if type2 else h - 1  # a = i for 1 <= i <= m
+    return m * (m + 1) // 2 + int(type2)
+
+
 def census(
     q: int,
     n: int,
@@ -49,8 +68,9 @@ def census(
     """Exact count (and optionally the list) of self-dual codes of length n.
 
     Returns (count, codes) where codes is None unless with_codes is set;
-    codes are sorted by their RREF rows.  state_limit bounds the number of
-    search-tree nodes visited.
+    codes are sorted by their RREF rows.  A length whose mass-formula count
+    exceeds code_limit is refused before the search; state_limit bounds
+    the number of search-tree nodes visited.
     """
     if q not in (2, 16):
         raise ValueError("census supports q in {2, 16}")
@@ -60,7 +80,11 @@ def census(
     if type2 and (q != 2 or n % 8):
         raise ValueError("Type II censuses need q=2 and length divisible by 8")
 
-    # feasibility: the leaves alone are this many
+    # feasibility: the leaves alone are this many.  Far past the limit the
+    # lower bound alone refuses: the product would take minutes to compute
+    exponent = _count_exponent(q, n, type2)
+    if exponent > max(_EXACT_BITS, code_limit.bit_length()):
+        raise EnumerationBudgetExceeded(f"more than 2^{exponent} codes, limit {code_limit}")
     if q == 2:
         expected = mass.t_type2(n) if type2 else mass.n_sd_binary(n)
     else:

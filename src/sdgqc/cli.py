@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import bounds, census, codes, constructions, mass
 from .codes import EUCLIDEAN, HERMITIAN, LinearCode
@@ -329,10 +330,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process: parse_args leaves no
+    state in it, so one parser serves every call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:

@@ -2,12 +2,14 @@ import json
 import math
 import os
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from sdgqc import bounds, census
 
-FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FIXTURES = os.path.join(ROOT, "tests", "fixtures")
 
 
 def test_binom0():
@@ -126,6 +128,28 @@ def test_max_distance_matches_frozen_oracle():
                 ell, d_star + 1, bounds.EXACT
             )
             assert not worse.holds
+
+
+def test_summands_match_closed_form():
+    # the recurrence stream against the closed-form summand, term by term
+    for ell, top in [(ell, 5 * ell) for ell in (*range(2, 65, 2), 160)] + [(1280, 800)]:
+        for mode in (bounds.LITERAL, bounds.EXACT):
+            for type2 in (False, True) if ell % 8 == 0 else (False,):
+                coef2, coef16, _ = bounds._coefficients(ell, mode, type2)
+                stream = list(islice(bounds._summands(ell, mode, coef2, coef16), top + 1))
+                assert stream == [bounds._term(ell, e, mode, coef2, coef16) for e in range(top + 1)]
+    # the stream ends at the heaviest weight 5*ell
+    assert len(list(bounds._summands(6, bounds.EXACT, 1, 1))) == 31
+
+
+def test_max_distance_matches_bench_oracle_goldens():
+    # d* past the fixture's ell <= 320, as scripts/dstar_oracle.py computed it
+    with open(os.path.join(ROOT, "bench", "goldens.json")) as f:
+        oracle = json.load(f)["dstar_oracle"]
+    cases = [(int(ell), want, key == "theorem2") for key, table in oracle.items() for ell, want in table.items()]
+    assert sorted(ell for ell, _, _ in cases) == [640, 1280]
+    for ell, want, type2 in cases:
+        assert bounds.max_distance(ell, bounds.EXACT, type2=type2)[0] == want
 
 
 def test_max_distance_monotone_in_ell():

@@ -113,6 +113,22 @@ def test_census_rejects_bad_input():
         census.census(2, 10, code_limit=100)
 
 
+def test_census_count_lower_bound():
+    # the fast refusal rests on 2^E <= count: it must never refuse a length
+    # whose count is within the limit
+    for n in range(2, 400, 2):
+        for q, type2, count in ((2, False, mass.n_sd_binary), (2, True, mass.t_type2),
+                                (16, False, mass.n_sd_hermitian16)):
+            if type2 and n % 8:
+                continue
+            exponent = census._count_exponent(q, n, type2)
+            assert exponent <= count(n).bit_length() - 1 < exponent + n
+    with pytest.raises(EnumerationBudgetExceeded, match=r"^more than 2\^49995000 codes, limit 1000000$"):
+        census.census(2, 20000)
+    with pytest.raises(EnumerationBudgetExceeded, match=r"^about 4922775 codes, limit 1000000$"):
+        census.census(2, 14)
+
+
 def test_census_state_limit():
     # the tree of census(2, 8) has more than 135 nodes: one per code at the
     # leaves, plus the root and the inner self-orthogonal codes

@@ -1,9 +1,10 @@
 import json
 import sys
+import time
 
 import pytest
 
-from sdgqc import bounds, mass
+from sdgqc import bounds, cli, mass
 from sdgqc.cli import main
 from sdgqc.codes import LinearCode, load
 from sdgqc.fields import GF2, GF16
@@ -233,3 +234,41 @@ def test_usage_errors(capsys):
     rc, out, err = run(capsys, "construct", "--c1", "x", "--c2", "y",
                        "--construction", "gqc", "--interleave")
     assert rc == 2 and out == "" and "--interleave" in err
+
+
+def test_census_refuses_huge_lengths_fast(capsys):
+    # the count's lower bound alone refuses these; computing the mass
+    # formula would take minutes and overflow the int-to-str digit limit
+    for q, n, exponent in (("2", "20000", 49995000), ("16", "6000", 18000000)):
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, "census", "--q", q, "--n", n)
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 2 and out == ""
+        assert err == f"error: more than 2^{exponent} codes, limit 1000000\n"
+
+
+def test_main_reuses_parser_without_leaking_state(capsys, rep2):
+    calls = [
+        ["maxdist", "--ell", "40", "--mode", "exact", "--json"],
+        ["maxdist", "--ell", "40", "--mode", "exact"],
+        ["verify", "--code", rep2, "--inner", "euclidean", "--type2", "--json"],
+        ["verify", "--code", rep2, "--inner", "euclidean"],
+        ["mass", "--q", "5", "--ell", "4"],
+        ["mass", "--q", "2", "--ell", "8"],
+        ["bogus-command"],
+        ["entropy", "--q", "2", "--x", "0.5"],
+        ["census", "--q", "2", "--n", "8"],
+        ["census", "--q", "2", "--n", "8"],
+    ]
+    # each call's answer from a first call of its own, in a fresh parser
+    first = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        rc, out, _ = run(capsys, *argv)
+        first.append((rc, out))
+    assert [rc for rc, _ in first] == [0, 0, 1, 0, 2, 0, 2, 0, 0, 0]
+    assert first[0][1] != first[1][1]  # --json and human output differ
+    # the same calls back to back through the one cached parser
+    assert [run(capsys, *argv)[:2] for argv in calls] == first
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
