@@ -29,11 +29,11 @@ from .codes import EnumerationBudgetExceeded, LinearCode, _insert, _meet, kernel
 # census
 
 
-def _iso_test(pair, type2: bool):
+def _iso_test(field, n: int, type2: bool):
     """<v, v> == 0 for a packed vector v; weight 0 mod 4 for Type II."""
     if type2:
         return lambda pv: pv.bit_count() % 4 == 0
-    return lambda pv: pair(pv, pv) == 0
+    return field.isotropic(n)
 
 
 #: a count known to exceed 2^E for E past this is refused without being
@@ -92,8 +92,8 @@ def census(
     if expected > code_limit:
         raise EnumerationBudgetExceeded(f"about {expected} codes, limit {code_limit}")
 
-    ops = scale, pair, support = field.packed_ops(n)
-    iso = _iso_test(pair, type2)
+    ops = scale, _, support = field.packed_ops(n)
+    iso = _iso_test(field, n, type2)
     # a self-dual C lies in w^perp for each w in C, and every binary one
     # contains the all-ones word
     constraints = [(1 << n) - 1] if q == 2 else []
@@ -111,8 +111,15 @@ def census(
         # A child appends r = (dual row of pivot p) + any combination of the
         # dual rows with later pivots, for p > last in a column no row uses.
         # A dual row's pivot symbol is 1, so its lowest set bit marks p.
-        # The child's later pivots must fall in the dual's pivot columns
-        # after p that r leaves zero too; fewer than `need` is a dead end.
+        # The child's later pivots must fall in the free pivot columns (no
+        # row uses them) after p that r leaves zero.  The dual is in RREF,
+        # so r's symbol in a later row's pivot column is that row's
+        # coefficient: r may have at most slack = (free pivots after p) -
+        # need nonzero coefficients on the free-pivot rows.  Combinations
+        # are therefore held in layers by that count t; a free-pivot row
+        # moves them from layer t to t+1, a used-pivot row extends every
+        # layer, no layer is built past the largest slack (`cap`, at row
+        # lo), and row p reads layers 0..slack only.  cap < 0 is a dead end.
         nonlocal count, nodes
         nodes += 1
         if nodes > state_limit:
@@ -124,20 +131,32 @@ def census(
                 found.append(rows)
             return
         lo = next((i for i, d in enumerate(dual) if d & -d > last and not used & d & -d), len(dual))
-        span = [0]  # combinations of the dual rows after index i
-        free = 0  # their pivot columns that no row uses
+        cap = sum(1 for d in dual[lo + 1:] if not used & d & -d) - need
+        if cap < 0:
+            return
+        layers = [[0]]  # layers[t]: combinations with t nonzero free coefficients
+        free = 0  # free pivots after row i
         for i in range(len(dual) - 1, lo - 1, -1):
             d = dual[i]
             p = d & -d
             if not used & p:
-                slack = free.bit_count() - need
-                for r in (d ^ s for s in span) if slack >= 0 else ():
-                    if (free & support(r)).bit_count() <= slack and iso(r):
-                        child = _meet(field, ops, dual, r) if need else dual
-                        grow(rows + (r,), child, used | support(r), p)
-                free |= p
+                for layer in layers[:max(free - need + 1, 0)]:
+                    for s in layer:
+                        r = d ^ s
+                        if iso(r):
+                            child = _meet(field, ops, dual, r) if need else dual
+                            grow(rows + (r,), child, used | support(r), p)
+                free += 1
             if i > lo:
-                span = [s ^ m for m in [scale(c, d) for c in field.elements()] for s in span]
+                ms = [scale(c, d) for c in range(1, field.q)]
+                if used & p:  # any coefficient: every layer grows
+                    for layer in layers:
+                        layer += [s ^ m for m in ms for s in layer]
+                else:  # a nonzero coefficient moves t up one
+                    if len(layers) <= cap:
+                        layers.append([])
+                    for t in range(len(layers) - 1, 0, -1):
+                        layers[t] += [s ^ m for m in ms for s in layers[t - 1]]
 
     grow((), kernel_basis(field, constraints, n), 0, 0)
     if not with_codes:
@@ -223,7 +242,8 @@ def sample_self_dual(q: int, n: int, seed: int, max_tries: int = 100000) -> Line
     field = field_for(q)
     if n < 2 or n % 2:
         raise ValueError("length must be a positive even integer")
-    ops = scale, pair, _ = field.packed_ops(n)
+    ops = scale, _, _ = field.packed_ops(n)
+    iso = field.isotropic(n)
     rng = random.Random(seed)
     rows: list = []
     # held last pivot first, the order in which _meet keeps it reduced
@@ -235,7 +255,7 @@ def sample_self_dual(q: int, n: int, seed: int, max_tries: int = 100000) -> Line
                 c = rng.randrange(q)
                 if c:
                     w ^= scale(c, d)
-            if w and pair(w, w) == 0 and _insert(field, scale, rows, w):
+            if w and iso(w) and _insert(field, scale, rows, w):
                 break
         else:
             raise RuntimeError("sampler failed to extend; raise max_tries")

@@ -80,12 +80,15 @@ def _meet(field: Field, ops, dual: list, w: int) -> list:
     by ascending first nonzero column (RREF), or by descending last one."""
     scale, pair, _ = ops
     vals = [pair(row, w) for row in dual]
-    j = max((i for i, a in enumerate(vals) if a), default=None)
-    if j is None:
+    j = len(vals) - 1
+    while j >= 0 and not vals[j]:
+        j -= 1
+    if j < 0:
         return dual
-    inv, rj = field.inverse(vals[j]), dual[j]
-    return [row ^ scale(field.mul(a, inv), rj) if a else row
-            for i, (row, a) in enumerate(zip(dual, vals)) if i != j]
+    rj = scale(field.inverse(vals[j]), dual[j])  # <rj, w> = 1
+    out = [row ^ scale(a, rj) if a else row for row, a in zip(dual, vals)]
+    del out[j]
+    return out
 
 
 def rref(field: Field, rows: Iterable[int], n: int) -> list:

@@ -107,6 +107,34 @@ class Field:
 
         return self._scaler(n), pair, support
 
+    def isotropic(self, n: int):
+        """A test of pair(v, v) == 0 for packed vectors v of length n.
+
+        With u = v, the shift-s and shift-(-s) plane meetings of `pair` have
+        the same popcount (k <-> k+s maps one onto the other).  So with P_s
+        the parity of v & v << s restricted to planes s and up, pair(v, v)
+        is P0 + sum over 0 < s < bits of P_s * (x^s + x^-s).  Each bit of
+        that sum must vanish: over GF(2) P0 = 0, over GF(4) P0 = P1, over
+        GF(16) P0 = P1 = P2 xor P3.
+        """
+        if self.q == 2:
+            return lambda v: not v.bit_count() & 1
+        b = self.bits
+        low = ((1 << b * n) - 1) // (self.q - 1)
+        planes = [sum(low << i for i in range(s, b)) for s in range(b)]
+        if self.q == 4:
+            top = planes[1]
+            return lambda v: not (v.bit_count() ^ (v & v << 1 & top).bit_count()) & 1
+        _, m1, m2, m3 = planes
+
+        def isotropic(v: int) -> bool:
+            p1 = (v & v << 1 & m1).bit_count()
+            if (v.bit_count() ^ p1) & 1:
+                return False
+            return not (p1 ^ (v & (v << 2 & m2 ^ v << 3 & m3)).bit_count()) & 1
+
+        return isotropic
+
     def check(self, a: int) -> int:
         if not 0 <= a < self.q:
             raise ValueError(f"{a} is not an element of GF({self.q})")

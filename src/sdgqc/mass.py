@@ -6,6 +6,9 @@ prod (2^(4i+2)+1), which agrees with the exhaustive census and with the
 ratio factors of the existence inequalities; the literal printed form with
 a 12*5^ell*ell! denominator is kept only as a diagnostic (it yields
 non-integers and contradicts the census).
+
+A factor 2^a + 1 is applied as (out << a) + out: a shift and an addition,
+linear in the size of out, in place of a big-integer multiplication.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ def n_sd_binary(ell: int) -> int:
     _check_even(ell)
     out = 1
     for i in range(1, ell // 2):
-        out *= 2**i + 1
+        out = (out << i) + out
     return out
 
 
@@ -40,7 +43,7 @@ def m_sd_binary(ell: int) -> int:
         raise ValueError("needs ell >= 4")
     out = 1
     for i in range(1, ell // 2 - 1):
-        out *= 2**i + 1
+        out = (out << i) + out
     return out
 
 
@@ -49,7 +52,7 @@ def t_type2(ell: int) -> int:
     _check_mult8(ell)
     out = 2
     for i in range(1, ell // 2 - 1):
-        out *= 2**i + 1
+        out = (out << i) + out
     return out
 
 
@@ -58,7 +61,7 @@ def s_type2(ell: int) -> int:
     _check_mult8(ell)
     out = 2
     for i in range(1, ell // 2 - 2):
-        out *= 2**i + 1
+        out = (out << i) + out
     return out
 
 
@@ -67,7 +70,7 @@ def n_sd_hermitian16(ell: int) -> int:
     _check_even(ell)
     out = 1
     for i in range(0, ell // 2):
-        out *= 2 ** (4 * i + 2) + 1
+        out = (out << 4 * i + 2) + out
     return out
 
 
@@ -76,7 +79,7 @@ def m_sd_hermitian16(ell: int) -> int:
     _check_even(ell)
     out = 1
     for i in range(0, ell // 2 - 1):
-        out *= 2 ** (4 * i + 2) + 1
+        out = (out << 4 * i + 2) + out
     return out
 
 

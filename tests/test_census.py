@@ -6,7 +6,8 @@ import random
 import pytest
 
 from sdgqc import census, mass
-from sdgqc.codes import EUCLIDEAN, HERMITIAN, EnumerationBudgetExceeded
+from sdgqc.codes import EUCLIDEAN, HERMITIAN, EnumerationBudgetExceeded, pack
+from sdgqc.fields import field_for
 
 
 def test_binary_census_matches_formula():
@@ -15,6 +16,7 @@ def test_binary_census_matches_formula():
         assert count == mass.n_sd_binary(n)
 
 
+@pytest.mark.slow
 def test_binary_census_n12():
     # one length past the old census's reach
     assert census.census(2, 12)[0] == mass.n_sd_binary(12) == 75735
@@ -98,6 +100,32 @@ def test_hermitian16_census_matches_formula():
         assert count == mass.n_sd_hermitian16(n)
 
 
+@pytest.mark.slow
+def test_hermitian16_census_n6():
+    assert census.census(16, 6)[0] == mass.n_sd_hermitian16(6) == 333125
+
+
+def test_hermitian16_containing_census_n6():
+    f = field_for(16)
+    pair = f.packed_ops(6)[1]
+
+    def isotropic(word):
+        return pair(pack(f, word), pack(f, word)) == 0
+
+    rng = random.Random(6)
+    words = [(1, 1, 0, 0, 0, 0), (0, 0, 3, 3, 3, 3)]
+    while len(words) < 5:  # further isotropic words, at random
+        word = tuple(rng.randrange(16) for _ in range(6))
+        if any(word) and isotropic(word):
+            words.append(word)
+    for word in words:
+        assert census.census(16, 6, containing=word)[0] == mass.m_sd_hermitian16(6) == 325, word
+    # a non-isotropic word lies in no self-dual code
+    for word in [(1, 0, 0, 0, 0, 0), (1, 1, 1, 0, 0, 0)]:
+        assert not isotropic(word)
+        assert census.census(16, 6, containing=word) == (0, None)
+
+
 def test_hermitian16_census_codes():
     count, codes = census.census(16, 2, with_codes=True)
     assert count == 5
@@ -130,11 +158,13 @@ def test_census_count_lower_bound():
 
 
 def test_census_state_limit():
-    # the tree of census(2, 8) has more than 135 nodes: one per code at the
-    # leaves, plus the root and the inner self-orthogonal codes
-    with pytest.raises(EnumerationBudgetExceeded, match="state budget"):
-        census.census(2, 8, state_limit=135)
-    assert census.census(2, 8, state_limit=10**4)[0] == 135
+    # the search tree, pinned: one node per code at the leaves, plus the
+    # root and the inner self-orthogonal codes.  Pruning may skip dead
+    # candidates, never a visited node
+    for q, n, nodes, codes in [(2, 8, 686, 135), (16, 4, 501, 325), (2, 10, 16116, 2295)]:
+        with pytest.raises(EnumerationBudgetExceeded, match="state budget"):
+            census.census(q, n, state_limit=nodes - 1)
+        assert census.census(q, n, state_limit=nodes)[0] == codes
 
 
 def test_count_words_by_type_totals():

@@ -1,6 +1,8 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sdgqc.fields import (
     ALPHA,
@@ -89,3 +91,28 @@ def test_field_for():
     assert field_for(4) is GF4
     with pytest.raises(ValueError):
         field_for(8)
+
+
+@pytest.mark.parametrize("q", [2, 4, 16])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 13])
+def test_isotropic_matches_pair(q, n):
+    # the plane-parity test against the general inner product pair(v, v)
+    f = field_for(q)
+    pair = f.packed_ops(n)[1]
+    isotropic = f.isotropic(n)
+    rng = random.Random(q * 100 + n)
+    words = [rng.getrandbits(f.bits * n) for _ in range(2000)]
+    if q ** n <= 4096:
+        words += range(q ** n)
+    hits = 0
+    for v in words:
+        assert isotropic(v) == (pair(v, v) == 0), v
+        hits += pair(v, v) == 0
+    assert 0 < hits < len(words)
+
+
+@given(st.sampled_from([2, 4, 16]), st.integers(1, 40), st.data())
+def test_isotropic_property(q, n, data):
+    f = field_for(q)
+    v = data.draw(st.integers(0, (1 << f.bits * n) - 1))
+    assert f.isotropic(n)(v) == (f.packed_ops(n)[1](v, v) == 0)

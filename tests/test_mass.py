@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -32,6 +33,24 @@ def test_hermitian16_counts():
     assert mass.n_sd_hermitian16(6) == 5 * 65 * 1025
     assert mass.m_sd_hermitian16(2) == 1
     assert mass.m_sd_hermitian16(4) == 5
+
+
+
+def test_products_match_factor_lists():
+    # the shift-and-add products against math.prod of the listed factors
+    def factors(lo, hi, step=1, offset=0):
+        return [2 ** (step * i + offset) + 1 for i in range(lo, hi)]
+
+    for ell in range(2, 401, 2):
+        h = ell // 2
+        assert mass.n_sd_binary(ell) == prod(factors(1, h))
+        assert mass.n_sd_hermitian16(ell) == prod(factors(0, h, 4, 2))
+        assert mass.m_sd_hermitian16(ell) == prod(factors(0, h - 1, 4, 2))
+        if ell >= 4:
+            assert mass.m_sd_binary(ell) == prod(factors(1, h - 1))
+        if ell % 8 == 0:
+            assert mass.t_type2(ell) == 2 * prod(factors(1, h - 1))
+            assert mass.s_type2(ell) == 2 * prod(factors(1, h - 2))
 
 
 def test_ratios_are_exact():
