@@ -77,7 +77,11 @@ def _insert(field: Field, scale, rows: list, v: int) -> bool:
 def _meet(field: Field, ops, dual: list, w: int) -> list:
     """span(dual) ∩ w^perp: of the rows not orthogonal to w, the last one is
     eliminated from the others.  An echelon basis stays one, in its order:
-    by ascending first nonzero column (RREF), or by descending last one."""
+    by ascending first nonzero column (RREF), or by descending last one.
+    A reduced one (pivot symbols 1, every other row 0 in a pivot column)
+    stays reduced, since the eliminated row is 0 in the other pivot
+    columns; the census's pruning reads coefficients off pivot columns and
+    relies on this."""
     scale, pair, _ = ops
     vals = [pair(row, w) for row in dual]
     j = len(vals) - 1

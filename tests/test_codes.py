@@ -8,8 +8,12 @@ from sdgqc.codes import (
     HERMITIAN,
     EnumerationBudgetExceeded,
     LinearCode,
+    _insert,
+    _meet,
     extended_hamming_code,
+    kernel_basis,
     loads,
+    pack,
 )
 from sdgqc.fields import GF2, GF4, GF16, field_for
 
@@ -174,3 +178,44 @@ def test_loads_accepts_comments_and_rejects_garbage():
         loads("sdgqc-code v1\nq 2\nn 2\nk 1\n13\n")
     with pytest.raises(ValueError):
         loads("sdgqc-code v1\nq 2\nn 2\nk 2\n11\n11\n")
+
+
+def _is_reduced(field, rows):
+    # RREF with pivots ascending, pivot symbols 1 and every other row 0 there
+    m, b = field.q - 1, field.bits
+    pivots = [(r & -r).bit_length() - 1 for r in rows]
+    pivots = [t - t % b for t in pivots]
+    return all(rows) and pivots == sorted(set(pivots)) and all(
+        (r >> t & m) == (i == k) for k, t in enumerate(pivots) for i, r in enumerate(rows)
+    )
+
+
+@pytest.mark.parametrize(
+    "q, n, constraints",
+    [(16, 4, []), (2, 8, [(1,) * 8]), (16, 6, [(1, 1, 0, 0, 0, 0)]), (4, 4, [(1, 2, 3, 1)])],
+)
+def test_meet_keeps_rref_reduced(q, n, constraints):
+    # The census reads a candidate's coefficients off the dual's pivot
+    # columns, so the root dual and every dual _meet narrows it to must be
+    # reduced.  Check every child of a root whose span is small enough to
+    # list, and random descents from each root to a self-dual code.
+    f = field_for(q)
+    ops = scale, pair, _ = f.packed_ops(n)
+    root = kernel_basis(f, [pack(f, w) for w in constraints], n)
+    assert _is_reduced(f, root) and len(root) == n - len(constraints)
+    span = [0]
+    for d in root if q ** len(root) <= 1 << 16 else ():
+        span = [s ^ scale(c, d) for c in range(q) for s in span]
+    children = [_meet(f, ops, root, r) for r in span if r and pair(r, r) == 0]
+    assert all(_is_reduced(f, child) for child in children)
+    rng = random.Random(q * 100 + n)
+    for _ in range(200):
+        dual, rows = root, []
+        while len(rows) < len(dual):  # until rows span a self-dual code
+            r = 0
+            for d in dual:
+                r ^= scale(rng.randrange(q), d)
+            if r and pair(r, r) == 0 and _insert(f, scale, rows, r):
+                dual = _meet(f, ops, dual, r)
+                assert _is_reduced(f, dual)
+        assert len(rows) == n // 2
