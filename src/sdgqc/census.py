@@ -92,7 +92,8 @@ def census(
     if expected > code_limit:
         raise EnumerationBudgetExceeded(f"about {expected} codes, limit {code_limit}")
 
-    ops = scale, _, support = field.packed_ops(n)
+    ops = field.packed_ops(n)
+    support, multiples = ops[2], field.multiples(n)
     iso = _iso_test(field, n, type2)
     # a self-dual C lies in w^perp for each w in C, and every binary one
     # contains the all-ones word
@@ -106,6 +107,7 @@ def census(
             return 0, ([] if with_codes else None)
     found: list = []
     count = nodes = 0
+    over = f"state budget {state_limit} exceeded"
 
     def grow(rows: tuple, dual: list, used: int, last: int) -> None:
         # A child appends r = (dual row of pivot p) + any combination of the
@@ -118,22 +120,22 @@ def census(
         # need nonzero coefficients on the free-pivot rows.  Combinations
         # are therefore held in layers by that count t; a free-pivot row
         # moves them from layer t to t+1, a used-pivot row extends every
-        # layer, no layer is built past the largest slack (`cap`, at row
-        # lo), and row p reads layers 0..slack only.  cap < 0 is a dead end.
+        # layer, no layer is built past the largest slack (`cap`, at the
+        # first free row lo), and row p reads layers 0..slack only.  lo and
+        # cap come from one list of the free rows after `last`; cap < 0 is a
+        # dead end.  A child that completes the code (need == 0 here) is a
+        # leaf: it is counted, and listed, where it is found, in the order a
+        # visit would have reached it, without a call of its own.
         nonlocal count, nodes
         nodes += 1
         if nodes > state_limit:
-            raise EnumerationBudgetExceeded(f"state budget {state_limit} exceeded")
+            raise EnumerationBudgetExceeded(over)
         need = n // 2 - len(rows) - 1
-        if need < 0:
-            count += 1
-            if with_codes:
-                found.append(rows)
-            return
-        lo = next((i for i, d in enumerate(dual) if d & -d > last and not used & d & -d), len(dual))
-        cap = sum(1 for d in dual[lo + 1:] if not used & d & -d) - need
+        free_rows = [i for i, d in enumerate(dual) if d & -d > last and not used & d & -d]
+        cap = len(free_rows) - 1 - need
         if cap < 0:
             return
+        lo = free_rows[0]
         layers = [[0]]  # layers[t]: combinations with t nonzero free coefficients
         free = 0  # free pivots after row i
         for i in range(len(dual) - 1, lo - 1, -1):
@@ -143,12 +145,20 @@ def census(
                 for layer in layers[:max(free - need + 1, 0)]:
                     for s in layer:
                         r = d ^ s
-                        if iso(r):
-                            child = _meet(field, ops, dual, r) if need else dual
-                            grow(rows + (r,), child, used | support(r), p)
+                        if not iso(r):
+                            continue
+                        if need:
+                            grow(rows + (r,), _meet(field, ops, dual, r), used | support(r), p)
+                            continue
+                        nodes += 1
+                        if nodes > state_limit:
+                            raise EnumerationBudgetExceeded(over)
+                        count += 1
+                        if with_codes:
+                            found.append(rows + (r,))
                 free += 1
             if i > lo:
-                ms = [scale(c, d) for c in range(1, field.q)]
+                ms = multiples(d)[1:]
                 if used & p:  # any coefficient: every layer grows
                     for layer in layers:
                         layer += [s ^ m for m in ms for s in layer]
@@ -237,11 +247,15 @@ def sample_self_dual(q: int, n: int, seed: int, max_tries: int = 100000) -> Line
     dual until it is isotropic and outside the current span.  A draw takes
     one rng.randrange(q) per row of the dual's reduced echelon basis pivoted
     on each row's last nonzero column, in ascending pivot order; that basis
-    is unique, so the draws are fixed by the seed.
+    is unique, so the draws are fixed by the seed.  random.Random seeds
+    from |seed|, so a negative seed would repeat its positive twin's code;
+    it is refused.
     """
     field = field_for(q)
     if n < 2 or n % 2:
         raise ValueError("length must be a positive even integer")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     ops = scale, _, _ = field.packed_ops(n)
     iso = field.isotropic(n)
     rng = random.Random(seed)

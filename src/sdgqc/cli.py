@@ -188,6 +188,8 @@ def cmd_maxdist(args) -> int:
 
 def cmd_asymptote(args) -> int:
     ells = [int(t) for t in args.ells.split(",") if t]
+    if not ells:
+        raise UsageError("--ells needs at least one block length")
     rows = bounds.asymptote_table(args.construction, ells, args.mode)
     print("ell,d_star,delta,mode")
     for r in rows:

@@ -76,22 +76,26 @@ def _insert(field: Field, scale, rows: list, v: int) -> bool:
 
 def _meet(field: Field, ops, dual: list, w: int) -> list:
     """span(dual) ∩ w^perp: of the rows not orthogonal to w, the last one is
-    eliminated from the others.  An echelon basis stays one, in its order:
-    by ascending first nonzero column (RREF), or by descending last one.
-    A reduced one (pivot symbols 1, every other row 0 in a pivot column)
-    stays reduced, since the eliminated row is 0 in the other pivot
-    columns; the census's pruning reads coefficients off pivot columns and
-    relies on this."""
+    eliminated from the others.  The scan runs from the last row to the
+    first row j not orthogonal to w; only the rows before j are paired with
+    w and updated, and the rows after j are copied as they are.  An echelon
+    basis stays one, in its order: by ascending first nonzero column
+    (RREF), or by descending last one.  A reduced one (pivot symbols 1,
+    every other row 0 in a pivot column) stays reduced, since the
+    eliminated row is 0 in the other pivot columns; the census's pruning
+    reads coefficients off pivot columns and relies on this."""
     scale, pair, _ = ops
-    vals = [pair(row, w) for row in dual]
-    j = len(vals) - 1
-    while j >= 0 and not vals[j]:
+    j = len(dual) - 1
+    while j >= 0:
+        a = pair(dual[j], w)
+        if a:
+            break
         j -= 1
-    if j < 0:
+    else:
         return dual
-    rj = scale(field.inverse(vals[j]), dual[j])  # <rj, w> = 1
-    out = [row ^ scale(a, rj) if a else row for row, a in zip(dual, vals)]
-    del out[j]
+    rj = scale(field.inverse(a), dual[j])  # <rj, w> = 1
+    out = [row ^ scale(a, rj) if (a := pair(row, w)) else row for row in dual[:j]]
+    out += dual[j + 1:]
     return out
 
 
@@ -209,8 +213,7 @@ class LinearCode:
                 word ^= self.basis[(i & -i).bit_length() - 1]
                 yield word
             return
-        scale = self.field.packed_ops(self.n)[0]
-        srows = [[scale(c, r) for c in self.field.elements()] for r in self.basis]
+        srows = list(map(self.field.multiples(self.n), self.basis))
 
         def rec(i: int, acc: int):
             if i == len(srows):

@@ -41,19 +41,23 @@ class Field:
                     self._inv[a] = b
                     break
 
-    def _scaler(self, n: int):
-        """c*v for packed vectors of length n (see packed_ops).
+    def _times_x_masks(self, n: int):
+        """(b, keep, low, red): v -> x*v is (v & keep) << 1 ^ (v >> b-1 & low) * red
+        on packed vectors of length n (see packed_ops).
 
         Bit j of every symbol slot forms bit plane j, and v = sum of x^j * v_j
         over the planes.  Multiplying by x moves each plane up one and folds
-        the top plane back through the modulus: x^bits = red.  c*v is then
-        the XOR of x^j * v over the set bits j of c.  At n=1 this is the
-        field multiplication itself.
+        the top plane back through the modulus: x^bits = red.
         """
         b = self.bits
         low = ((1 << b * n) - 1) // (self.q - 1)  # the low bit of every slot
         keep = low * ((1 << b - 1) - 1)  # every plane but the top one
-        red = _MODULUS[self.q] ^ 1 << b
+        return b, keep, low, _MODULUS[self.q] ^ 1 << b
+
+    def _scaler(self, n: int):
+        """c*v for packed vectors of length n: the XOR of x^j * v over the
+        set bits j of c.  At n=1 this is the field multiplication itself."""
+        b, keep, low, red = self._times_x_masks(n)
 
         def scale(c: int, v: int) -> int:
             acc = 0
@@ -74,30 +78,41 @@ class Field:
         pair(u, v) is the designated inner product, sum u_i*v_i over GF(2)
         and the Hermitian sum u_i*conj(v_i) over GF(4)/GF(16); support(v) has
         the low bit of every nonzero symbol slot of v set.
+
+        pair is straight-line code per field.  Both moduli are
+        1 + x + ... + x^bits, so x^(bits+1) = 1 and conj(x^j) = x^-j: plane
+        i of u meeting plane j of v adds x^(i-j) once per shared set bit.
+        With P_s the parity of the meetings at shift s = i - j (those at -s
+        are u << s against v), GF(4) gives P0 + P1*x + P-1*x^2 and GF(16)
+        P0 + P1*x + (P2 + P-3)*x^2 + (P3 + P-2)*x^3 + P-1*x^4, where
+        x^2 = 1 + x over GF(4) and x^4 = 1 + x + x^2 + x^3 over GF(16).
+        Parity is additive under XOR, so meetings that land on the same
+        power are XORed before one popcount.
         """
         if self.q == 2:
             return (lambda c, v: v if c else 0), (lambda u, v: (u & v).bit_count() & 1), (lambda v: v)
         b = self.bits
         low = ((1 << b * n) - 1) // (self.q - 1)
-        # Both moduli are 1 + x + ... + x^bits, so x^(bits+1) = 1 and
-        # conj(x^j) = x^-j: plane i of u meeting plane j of v adds x^(i-j)
-        # once per shared set bit.  Parity is additive under XOR, so the
-        # meetings are XORed per power of x before one popcount each.
-        groups: dict = {}
-        for s in range(1 - b, b):
-            planes = sum(low << i for i in range(b) if 0 <= i - s < b)
-            groups.setdefault(self.pow(2, s % (b + 1)), []).append((s, planes))
-        groups = list(groups.items())
+        # m[s]: planes s and up, where a meeting at shift s can land
+        m = [sum(low << i for i in range(s, b)) for s in range(b)]
+        if self.q == 4:
+            m1 = m[1]
 
-        def pair(u: int, v: int) -> int:
-            acc = 0
-            for t, meetings in groups:
-                g = 0
-                for s, planes in meetings:
-                    g ^= u & (v << s if s > 0 else v >> -s) & planes
-                if g.bit_count() & 1:
-                    acc ^= t
-            return acc
+            def pair(u: int, v: int) -> int:
+                neg = (u << 1 & v & m1).bit_count()  # P-1, at x^2 = 1 + x
+                return ((u & v).bit_count() ^ neg) & 1 | (((u & v << 1 & m1).bit_count() ^ neg) & 1) << 1
+
+        else:
+            _, m1, m2, m3 = m
+
+            def pair(u: int, v: int) -> int:
+                acc = (u & v).bit_count() & 1
+                acc |= ((u & v << 1 & m1).bit_count() & 1) << 1
+                acc |= ((u & v << 2 & m2 ^ u << 3 & v & m3).bit_count() & 1) << 2
+                acc |= ((u & v << 3 & m3 ^ u << 2 & v & m2).bit_count() & 1) << 3
+                if (u << 1 & v & m1).bit_count() & 1:  # P-1, at x^4 = 1 + x + x^2 + x^3
+                    acc ^= 15
+                return acc
 
         def support(v: int) -> int:
             t = v
@@ -106,6 +121,35 @@ class Field:
             return t & low
 
         return self._scaler(n), pair, support
+
+    def multiples(self, n: int):
+        """v -> (c*v for c = 0..q-1) on packed vectors of length n.
+
+        Element c has bit j set for each x^j in it, so c*v is the XOR of the
+        doublings x^j * v over those bits: the tuple is built by XOR alone,
+        from bits - 1 multiplications by x.  One call costs about what two
+        scale calls do, against q - 1 of them for the same list.
+        """
+        if self.q == 2:
+            return lambda v: (0, v)
+        b, keep, low, red = self._times_x_masks(n)
+        if self.q == 4:
+            def multiples(v: int) -> tuple:
+                x = (v & keep) << 1 ^ (v >> 1 & low) * red
+                return 0, v, x, v ^ x
+
+            return multiples
+
+        def multiples(v: int) -> tuple:
+            x = (v & keep) << 1 ^ (v >> 3 & low) * red
+            x2 = (x & keep) << 1 ^ (x >> 3 & low) * red
+            x3 = (x2 & keep) << 1 ^ (x2 >> 3 & low) * red
+            v1 = v ^ x
+            v2 = x2 ^ x3
+            return (0, v, x, v1, x2, v ^ x2, x ^ x2, v1 ^ x2,
+                    x3, v ^ x3, x ^ x3, v1 ^ x3, v2, v ^ v2, x ^ v2, v1 ^ v2)
+
+        return multiples
 
     def isotropic(self, n: int):
         """A test of pair(v, v) == 0 for packed vectors v of length n.

@@ -167,6 +167,26 @@ def test_census_state_limit():
         assert census.census(q, n, state_limit=nodes)[0] == codes
 
 
+@pytest.mark.parametrize("q, n, options, nodes, codes", [
+    (2, 8, {"type2": True}, 188, 30),
+    (2, 8, {"containing": (1, 1, 0, 0, 0, 0, 0, 0)}, 108, 15),
+    (16, 4, {"containing": (1, 1, 1, 1)}, 14, 5),
+])
+def test_census_state_limit_restricted(q, n, options, nodes, codes):
+    # the trees of the restricted censuses, pinned as above
+    with pytest.raises(EnumerationBudgetExceeded, match="state budget"):
+        census.census(q, n, state_limit=nodes - 1, **options)
+    assert census.census(q, n, state_limit=nodes, **options)[0] == codes
+
+
+def test_census_state_limit_with_codes():
+    # every leaf is both counted and listed, within the same node budget
+    with pytest.raises(EnumerationBudgetExceeded, match="state budget"):
+        census.census(2, 8, with_codes=True, state_limit=685)
+    count, codes = census.census(2, 8, with_codes=True, state_limit=686)
+    assert count == len(codes) == len(set(codes)) == 135
+
+
 def test_count_words_by_type_totals():
     # the three types partition the nonzero image words: totals must be
     # 2^(5*ell) - 1 unrestricted
@@ -247,3 +267,11 @@ def test_sampler_hits_every_code():
 def test_sampler_rejects_bad_length():
     with pytest.raises(ValueError):
         census.sample_self_dual(2, 3, 0)
+
+
+def test_sampler_rejects_negative_seed():
+    # random.Random seeds from |seed|: -7 would repeat seed 7's code
+    for q in (2, 4, 16):
+        with pytest.raises(ValueError, match="nonnegative"):
+            census.sample_self_dual(q, 8, -7)
+    assert census.sample_self_dual(16, 8, 0).is_self_dual(HERMITIAN)

@@ -147,6 +147,15 @@ def test_sample(capsys, tmp_path):
     assert load(str(out1)).is_self_dual("euclidean")
 
 
+def test_sample_refuses_negative_seed(capsys, tmp_path):
+    # Random(-7) would draw what Random(7) draws: one code for two seeds
+    out = tmp_path / "neg.txt"
+    rc, stdout, err = run(capsys, "sample", "--q", "16", "--n", "8", "--seed", "-7",
+                          "--out", str(out))
+    assert rc == 2 and stdout == "" and not out.exists()
+    assert err == "error: seed must be nonnegative, got -7\n"
+
+
 def test_bound(capsys):
     rc, out, _ = run(capsys, "bound", "--ell", "2", "--d", "1", "--mode", "literal")
     assert rc == 0 and "lhs=6 rhs=10 holds=true" in out
@@ -234,6 +243,11 @@ def test_usage_errors(capsys):
     rc, out, err = run(capsys, "construct", "--c1", "x", "--c2", "y",
                        "--construction", "gqc", "--interleave")
     assert rc == 2 and out == "" and "--interleave" in err
+    # an empty block-length list would print a bare header
+    for ells in ("", ","):
+        rc, out, err = run(capsys, "asymptote", "--construction", "quintic", "--ells", ells,
+                           "--mode", "exact")
+        assert rc == 2 and out == "" and "needs at least one block length" in err
 
 
 def test_census_refuses_huge_lengths_fast(capsys):

@@ -14,6 +14,7 @@ from sdgqc.codes import (
     kernel_basis,
     loads,
     pack,
+    rref,
 )
 from sdgqc.fields import GF2, GF4, GF16, field_for
 
@@ -219,3 +220,45 @@ def test_meet_keeps_rref_reduced(q, n, constraints):
                 dual = _meet(f, ops, dual, r)
                 assert _is_reduced(f, dual)
         assert len(rows) == n // 2
+
+
+def _meet_all_rows(field, ops, dual, w):
+    # the elimination _meet replaced: pair every row with w, eliminate the
+    # last row not orthogonal to w from all the others
+    scale, pair, _ = ops
+    vals = [pair(row, w) for row in dual]
+    j = len(vals) - 1
+    while j >= 0 and not vals[j]:
+        j -= 1
+    if j < 0:
+        return dual
+    rj = scale(field.inverse(vals[j]), dual[j])
+    out = [row ^ scale(a, rj) if a else row for row, a in zip(dual, vals)]
+    del out[j]
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 4, 16])
+def test_meet_matches_all_rows_elimination(q):
+    # on random reduced echelon bases in both orders the census and the
+    # sampler hold: ascending first nonzero column, and (reversing the
+    # coordinates) descending last one
+    f = field_for(q)
+    b, m = f.bits, q - 1
+    rng = random.Random(q)
+    for n in (1, 2, 5, 9):
+        ops = f.packed_ops(n)
+
+        def reverse(v):
+            return sum((v >> i * b & m) << (n - 1 - i) * b for i in range(n))
+
+        for _ in range(60):
+            rows = [rng.getrandbits(b * n) for _ in range(rng.randrange(1, n + 1))]
+            ascending = rref(f, rows, n)
+            for basis in (ascending, [reverse(r) for r in ascending]):
+                for _ in range(4):
+                    w = rng.getrandbits(b * n)
+                    assert _meet(f, ops, basis, w) == _meet_all_rows(f, ops, basis, w), (basis, w)
+                # a w orthogonal to every row leaves the dual as it is
+                for w in [0] + kernel_basis(f, basis, n):
+                    assert _meet(f, ops, basis, w) == basis, (basis, w)

@@ -116,3 +116,50 @@ def test_isotropic_property(q, n, data):
     f = field_for(q)
     v = data.draw(st.integers(0, (1 << f.bits * n) - 1))
     assert f.isotropic(n)(v) == (f.packed_ops(n)[1](v, v) == 0)
+
+
+def _pair_by_definition(f, n, u, v):
+    # sum of u_i * conj(v_i) (u_i * v_i over GF(2)), one symbol at a time
+    m = f.q - 1
+    acc = 0
+    for i in range(n):
+        a, b = u >> i * f.bits & m, v >> i * f.bits & m
+        acc ^= f.mul(a, b if f.q == 2 else f.conjugate(b))
+    return acc
+
+
+@pytest.mark.parametrize("q", [2, 4, 16])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 13])
+def test_pair_matches_definition(q, n):
+    f = field_for(q)
+    pair = f.packed_ops(n)[1]
+    rng = random.Random(q * 1000 + n)
+    size = 1 << f.bits * n
+    pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(2000)]
+    if q ** (2 * n) <= 4096:
+        pairs += itertools.product(range(size), repeat=2)
+    values = set()
+    for u, v in pairs:
+        want = _pair_by_definition(f, n, u, v)
+        assert pair(u, v) == want, (u, v)
+        values.add(want)
+    assert values == set(range(q))  # every value of the form is reached
+
+
+@given(st.sampled_from([2, 4, 16]), st.integers(1, 40), st.data())
+def test_pair_property(q, n, data):
+    f = field_for(q)
+    u, v = (data.draw(st.integers(0, (1 << f.bits * n) - 1)) for _ in range(2))
+    assert f.packed_ops(n)[1](u, v) == _pair_by_definition(f, n, u, v)
+
+
+@pytest.mark.parametrize("q", [2, 4, 16])
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_multiples_match_scale(q, n):
+    f = field_for(q)
+    scale, multiples = f.packed_ops(n)[0], f.multiples(n)
+    rng = random.Random(q + n)
+    for v in [0, (1 << f.bits * n) - 1] + [rng.getrandbits(f.bits * n) for _ in range(200)]:
+        mv = multiples(v)
+        assert len(mv) == q
+        assert all(mv[c] == scale(c, v) for c in range(q)), v
