@@ -127,12 +127,11 @@ class Field:
 
         Element c has bit j set for each x^j in it, so c*v is the XOR of the
         doublings x^j * v over those bits: the tuple is built by XOR alone,
-        from bits - 1 multiplications by x.  One call costs about what two
-        scale calls do, against q - 1 of them for the same list.
+        from bits - 1 multiplications by x, in place of q - 1 scale calls.
         """
         if self.q == 2:
             return lambda v: (0, v)
-        b, keep, low, red = self._times_x_masks(n)
+        _, keep, low, red = self._times_x_masks(n)
         if self.q == 4:
             def multiples(v: int) -> tuple:
                 x = (v & keep) << 1 ^ (v >> 1 & low) * red
