@@ -29,13 +29,6 @@ from .codes import EnumerationBudgetExceeded, LinearCode, _insert, _meet, kernel
 # census
 
 
-def _iso_test(field, n: int, type2: bool):
-    """<v, v> == 0 for a packed vector v; weight 0 mod 4 for Type II."""
-    if type2:
-        return lambda pv: pv.bit_count() % 4 == 0
-    return field.isotropic(n)
-
-
 #: a count known to exceed 2^E for E past this is refused without being
 #: computed; up to it the count has under 4,300 digits (the default
 #: int-to-str limit) and its product takes microseconds
@@ -93,8 +86,9 @@ def census(
         raise EnumerationBudgetExceeded(f"about {expected} codes, limit {code_limit}")
 
     ops = field.packed_ops(n)
-    support, multiples = ops[2], field.multiples(n)
-    iso = _iso_test(field, n, type2)
+    support, multiples = ops.support, ops.multiples
+    # a row's own test: <v, v> == 0, or weight 0 mod 4 for Type II
+    iso = (lambda pv: pv.bit_count() % 4 == 0) if type2 else ops.isotropic
     # a self-dual C lies in w^perp for each w in C, and every binary one
     # contains the all-ones word
     constraints = [(1 << n) - 1] if q == 2 else []
@@ -256,20 +250,21 @@ def sample_self_dual(q: int, n: int, seed: int, max_tries: int = 100000) -> Line
         raise ValueError("length must be a positive even integer")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    ops = scale, _, _ = field.packed_ops(n)
-    iso = field.isotropic(n)
+    ops = field.packed_ops(n)
+    multiples, iso = ops.multiples, ops.isotropic
     rng = random.Random(seed)
     rows: list = []
     # held last pivot first, the order in which _meet keeps it reduced
     dual = [1 << i * field.bits for i in reversed(range(n))]
     while len(rows) < n // 2:
+        dual_multiples = [multiples(d) for d in reversed(dual)]
         for _ in range(max_tries):
             w = 0
-            for d in reversed(dual):
+            for md in dual_multiples:
                 c = rng.randrange(q)
                 if c:
-                    w ^= scale(c, d)
-            if w and iso(w) and _insert(field, scale, rows, w):
+                    w ^= md[c]
+            if w and iso(w) and _insert(field, multiples, rows, w):
                 break
         else:
             raise RuntimeError("sampler failed to extend; raise max_tries")

@@ -2,11 +2,12 @@
 
 A code is identified with the unique reduced row-echelon form of its
 generator matrix, so two LinearCode objects are equal iff they describe the
-same set of codewords.  Below the API every vector is a packed int (see
-`Field.packed_ops`): symbol i sits in bits [i*bits, (i+1)*bits), so a row's
-pivot, its first nonzero column, is its lowest set bit.  Symbol tuples
-appear only at the boundary: `from_rows`, `contains`, the `rows` view and
-the text format.
+same set of codewords.  Below the API every vector is a packed int: symbol
+i sits in bits [i*bits, (i+1)*bits), so a row's pivot, its first nonzero
+column, is its lowest set bit.  `Field.packed_ops(n)` gives the primitives
+on them, and a scalar multiple c*v is read off as `multiples(v)[c]`.
+Symbol tuples appear only at the boundary: `from_rows`, `contains`, the
+`rows` view and the text format.
 """
 
 from __future__ import annotations
@@ -46,31 +47,31 @@ def pack(field: Field, v: Sequence[int]) -> int:
     return acc
 
 
-def _reduce(field: Field, scale, rows, v: int) -> int:
+def _reduce(field: Field, multiples, rows, v: int) -> int:
     """Residue of packed v after elimination against packed RREF rows."""
     m = field.q - 1
     for r in rows:
         c = v >> (r & -r).bit_length() - 1 & m  # v's symbol at r's pivot
         if c:
-            v ^= scale(c, r)
+            v ^= multiples(r)[c]
     return v
 
 
-def _insert(field: Field, scale, rows: list, v: int) -> bool:
+def _insert(field: Field, multiples, rows: list, v: int) -> bool:
     """Add packed v to the RREF rows in place, keeping them in pivot order;
     False, with rows unchanged, if v lies in their span."""
-    v = _reduce(field, scale, rows, v)
+    v = _reduce(field, multiples, rows, v)
     if not v:
         return False
     m = field.q - 1
     t = (v & -v).bit_length() - 1
     t -= t % field.bits  # the first bit of v's pivot slot
-    v = scale(field.inverse(v >> t & m), v)
+    vs = multiples(multiples(v)[field.inverse(v >> t & m)])  # of v scaled to pivot symbol 1
     for i, r in enumerate(rows):
         c = r >> t & m
         if c:
-            rows[i] = r ^ scale(c, v)
-    insort(rows, v, key=lambda r: r & -r)
+            rows[i] = r ^ vs[c]
+    insort(rows, vs[1], key=lambda r: r & -r)
     return True
 
 
@@ -83,8 +84,9 @@ def _meet(field: Field, ops, dual: list, w: int) -> list:
     (RREF), or by descending last one.  A reduced one (pivot symbols 1,
     every other row 0 in a pivot column) stays reduced, since the
     eliminated row is 0 in the other pivot columns; the census's pruning
-    reads coefficients off pivot columns and relies on this."""
-    scale, pair, _ = ops
+    reads coefficients off pivot columns and relies on this.  One multiples
+    tuple of the eliminated row serves every row it updates."""
+    multiples, pair = ops.multiples, ops.pair
     j = len(dual) - 1
     while j >= 0:
         a = pair(dual[j], w)
@@ -93,18 +95,18 @@ def _meet(field: Field, ops, dual: list, w: int) -> list:
         j -= 1
     else:
         return dual
-    rj = scale(field.inverse(a), dual[j])  # <rj, w> = 1
-    out = [row ^ scale(a, rj) if (a := pair(row, w)) else row for row in dual[:j]]
+    rj = multiples(multiples(dual[j])[field.inverse(a)])  # <rj[1], w> = 1
+    out = [row ^ rj[a] if (a := pair(row, w)) else row for row in dual[:j]]
     out += dual[j + 1:]
     return out
 
 
 def rref(field: Field, rows: Iterable[int], n: int) -> list:
     """The reduced row-echelon basis of the span of packed rows, by pivot."""
-    scale = field.packed_ops(n)[0]
+    multiples = field.packed_ops(n).multiples
     basis: list = []
     for v in rows:
-        _insert(field, scale, basis, v)
+        _insert(field, multiples, basis, v)
     return basis
 
 
@@ -172,8 +174,8 @@ class LinearCode:
             self.field.check(s)
         if len(v) != self.n:
             raise ValueError("length mismatch")
-        scale = self.field.packed_ops(self.n)[0]
-        return not _reduce(self.field, scale, self.basis, pack(self.field, v))
+        multiples = self.field.packed_ops(self.n).multiples
+        return not _reduce(self.field, multiples, self.basis, pack(self.field, v))
 
     def dual(self, inner: str) -> "LinearCode":
         """Null space w.r.t. the chosen inner product."""
@@ -182,7 +184,7 @@ class LinearCode:
 
     def is_self_orthogonal(self, inner: str) -> bool:
         check_inner(self.field, inner)
-        pair = self.field.packed_ops(self.n)[1]
+        pair = self.field.packed_ops(self.n).pair
         return all(pair(u, v) == 0 for i, u in enumerate(self.basis) for v in self.basis[i:])
 
     def is_self_dual(self, inner: str) -> bool:
@@ -205,29 +207,28 @@ class LinearCode:
             )
 
     def iter_packed(self) -> Iterator[int]:
-        """All q^k codewords as packed ints (zero word first)."""
-        if self.field.q == 2:
-            word = 0
+        """All q^k codewords as packed ints (zero word first), in binary Gray
+        code order over a GF(2) basis of the code.
+
+        The basis is x^j * r for each row r and j < bits, read off as
+        multiples(r)[1 << j].  Each coefficient c in GF(q) is a unique sum
+        of the x^j with j < bits, so the sums of these k*bits words are the
+        sums c_1*r_1 + ... + c_k*r_k, each once: q^k = 2^(k*bits) words,
+        distinct because the rows are independent.  At q=2 the basis is the
+        rows themselves.
+        """
+        multiples = self.field.packed_ops(self.n).multiples
+        basis = [multiples(r)[1 << j] for r in self.basis for j in range(self.field.bits)]
+        word = 0
+        yield word
+        for i in range(1, 1 << len(basis)):
+            word ^= basis[(i & -i).bit_length() - 1]
             yield word
-            for i in range(1, 1 << self.k):
-                word ^= self.basis[(i & -i).bit_length() - 1]
-                yield word
-            return
-        srows = list(map(self.field.multiples(self.n), self.basis))
-
-        def rec(i: int, acc: int):
-            if i == len(srows):
-                yield acc
-                return
-            for packed in srows[i]:
-                yield from rec(i + 1, acc ^ packed)
-
-        yield from rec(0, 0)
 
     def weight_tally(self, budget: int = DEFAULT_BUDGET) -> dict:
         """Exact weight distribution {weight: count}."""
         self._check_budget(budget)
-        support = self.field.packed_ops(self.n)[2]
+        support = self.field.packed_ops(self.n).support
         tally: dict = {}
         for pv in self.iter_packed():
             w = support(pv).bit_count()
@@ -239,7 +240,7 @@ class LinearCode:
         if self.k == 0:
             raise ValueError("the zero code has no minimum distance")
         self._check_budget(budget)
-        support = self.field.packed_ops(self.n)[2]
+        support = self.field.packed_ops(self.n).support
         best = self.n + 1
         for pv in self.iter_packed():
             if pv == 0:

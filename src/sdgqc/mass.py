@@ -8,13 +8,19 @@ a 12*5^ell*ell! denominator is kept only as a diagnostic (it yields
 non-integers and contradicts the census).
 
 A factor 2^a + 1 is applied as (out << a) + out: a shift and an addition,
-linear in the size of out, in place of a big-integer multiplication.
+linear in the size of out, in place of a big-integer multiplication.  A
+count past 2^_MAX_BITS is refused with ValueError before it is computed:
+its product and decimal string would take minutes to days.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+
+#: the largest exponent sum a count may have: binary ell <= 4096 and GF(16)
+#: ell <= 2048 fit
+_MAX_BITS = 2**21
 
 
 def _check_even(ell: int) -> None:
@@ -27,13 +33,25 @@ def _check_mult8(ell: int) -> None:
         raise ValueError(f"length must be a positive multiple of 8, got {ell}")
 
 
+def _product(exponents: range, start: int = 1) -> int:
+    """start * prod(2^a + 1 for a in exponents).
+
+    Each factor exceeds 2^a, so the product has more than sum(a) bits; that
+    arithmetic-series sum is refused past _MAX_BITS before any work is done.
+    """
+    total = len(exponents) * (exponents[0] + exponents[-1]) // 2 if exponents else 0
+    if total > _MAX_BITS:
+        raise ValueError(f"the count exceeds 2^{total}, past the 2^{_MAX_BITS} limit")
+    out = start
+    for a in exponents:
+        out = (out << a) + out
+    return out
+
+
 def n_sd_binary(ell: int) -> int:
     """Number of Euclidean self-dual binary codes of length ell."""
     _check_even(ell)
-    out = 1
-    for i in range(1, ell // 2):
-        out = (out << i) + out
-    return out
+    return _product(range(1, ell // 2))
 
 
 def m_sd_binary(ell: int) -> int:
@@ -41,46 +59,31 @@ def m_sd_binary(ell: int) -> int:
     _check_even(ell)
     if ell < 4:
         raise ValueError("needs ell >= 4")
-    out = 1
-    for i in range(1, ell // 2 - 1):
-        out = (out << i) + out
-    return out
+    return _product(range(1, ell // 2 - 1))
 
 
 def t_type2(ell: int) -> int:
     """Number of doubly even (Type II) self-dual binary codes."""
     _check_mult8(ell)
-    out = 2
-    for i in range(1, ell // 2 - 1):
-        out = (out << i) + out
-    return out
+    return _product(range(1, ell // 2 - 1), start=2)
 
 
 def s_type2(ell: int) -> int:
     """Number of Type II codes containing a fixed admissible word."""
     _check_mult8(ell)
-    out = 2
-    for i in range(1, ell // 2 - 2):
-        out = (out << i) + out
-    return out
+    return _product(range(1, ell // 2 - 2), start=2)
 
 
 def n_sd_hermitian16(ell: int) -> int:
     """Number of Hermitian self-dual GF(16) codes of length ell."""
     _check_even(ell)
-    out = 1
-    for i in range(0, ell // 2):
-        out = (out << 4 * i + 2) + out
-    return out
+    return _product(range(2, 2 * ell, 4))
 
 
 def m_sd_hermitian16(ell: int) -> int:
     """Number of Hermitian self-dual GF(16) codes containing a fixed word."""
     _check_even(ell)
-    out = 1
-    for i in range(0, ell // 2 - 1):
-        out = (out << 4 * i + 2) + out
-    return out
+    return _product(range(2, 2 * ell - 4, 4))
 
 
 def binary_ratio(ell: int) -> int:

@@ -107,7 +107,7 @@ def test_hermitian16_census_n6():
 
 def test_hermitian16_containing_census_n6():
     f = field_for(16)
-    pair = f.packed_ops(6)[1]
+    pair = f.packed_ops(6).pair
 
     def isotropic(word):
         return pair(pack(f, word), pack(f, word)) == 0

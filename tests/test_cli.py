@@ -119,6 +119,16 @@ def test_mass_past_int_str_digit_limit(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_mass_refuses_huge_lengths_fast(capsys):
+    # the count's bit total alone refuses this; its product and decimal
+    # string would take days
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, "mass", "--q", "2", "--ell", "100000")
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 2 and out == ""
+    assert err == "error: the count exceeds 2^1249975000, past the 2^2097152 limit\n"
+
+
 def test_census(capsys, tmp_path):
     rc, out, _ = run(capsys, "census", "--q", "2", "--n", "8")
     assert rc == 0 and out.strip() == "135"

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -135,6 +136,33 @@ def test_min_distance_and_tally():
         LinearCode.zero(GF2, 4).min_distance()
 
 
+@pytest.mark.parametrize("q", [2, 4, 16])
+def test_enumeration_matches_coefficient_sums(q):
+    # iter_packed, weight_tally and min_distance against the span listed
+    # coefficient tuple by coefficient tuple, through Field.mul per symbol
+    f = field_for(q)
+    rng = random.Random(q * 7)
+    kmax = 12 // f.bits  # q^k <= 4096
+    for _ in range(12):
+        n = rng.randrange(1, kmax + 4)
+        rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(rng.randrange(1, kmax + 1))]
+        code = LinearCode.from_rows(f, n, rows)
+        words = list(code.iter_packed())
+        assert len(words) == len(set(words)) == q ** code.k and words[0] == 0
+        m = q - 1
+        assert all(code.contains(tuple(w >> i * f.bits & m for i in range(n))) for w in words)
+        tally: dict = {}
+        for coeffs in itertools.product(range(q), repeat=code.k):
+            word = [0] * n
+            for c, row in zip(coeffs, code.rows):
+                word = [s ^ f.mul(c, r) for s, r in zip(word, row)]
+            w = sum(1 for s in word if s)
+            tally[w] = tally.get(w, 0) + 1
+        assert code.weight_tally() == tally
+        if code.k:
+            assert code.min_distance() == min(w for w in tally if w)
+
+
 def test_enumeration_budget():
     rows = [tuple(1 if j == i else 0 for j in range(30)) for i in range(30)]
     big = LinearCode.from_rows(GF2, 30, rows)
@@ -201,12 +229,13 @@ def test_meet_keeps_rref_reduced(q, n, constraints):
     # reduced.  Check every child of a root whose span is small enough to
     # list, and random descents from each root to a self-dual code.
     f = field_for(q)
-    ops = scale, pair, _ = f.packed_ops(n)
+    ops = f.packed_ops(n)
+    multiples, pair = ops.multiples, ops.pair
     root = kernel_basis(f, [pack(f, w) for w in constraints], n)
     assert _is_reduced(f, root) and len(root) == n - len(constraints)
     span = [0]
     for d in root if q ** len(root) <= 1 << 16 else ():
-        span = [s ^ scale(c, d) for c in range(q) for s in span]
+        span = [s ^ dc for dc in multiples(d) for s in span]
     children = [_meet(f, ops, root, r) for r in span if r and pair(r, r) == 0]
     assert all(_is_reduced(f, child) for child in children)
     rng = random.Random(q * 100 + n)
@@ -215,8 +244,8 @@ def test_meet_keeps_rref_reduced(q, n, constraints):
         while len(rows) < len(dual):  # until rows span a self-dual code
             r = 0
             for d in dual:
-                r ^= scale(rng.randrange(q), d)
-            if r and pair(r, r) == 0 and _insert(f, scale, rows, r):
+                r ^= multiples(d)[rng.randrange(q)]
+            if r and pair(r, r) == 0 and _insert(f, multiples, rows, r):
                 dual = _meet(f, ops, dual, r)
                 assert _is_reduced(f, dual)
         assert len(rows) == n // 2
@@ -225,15 +254,14 @@ def test_meet_keeps_rref_reduced(q, n, constraints):
 def _meet_all_rows(field, ops, dual, w):
     # the elimination _meet replaced: pair every row with w, eliminate the
     # last row not orthogonal to w from all the others
-    scale, pair, _ = ops
-    vals = [pair(row, w) for row in dual]
+    vals = [ops.pair(row, w) for row in dual]
     j = len(vals) - 1
     while j >= 0 and not vals[j]:
         j -= 1
     if j < 0:
         return dual
-    rj = scale(field.inverse(vals[j]), dual[j])
-    out = [row ^ scale(a, rj) if a else row for row, a in zip(dual, vals)]
+    rj = ops.multiples(dual[j])[field.inverse(vals[j])]
+    out = [row ^ ops.multiples(rj)[a] if a else row for row, a in zip(dual, vals)]
     del out[j]
     return out
 

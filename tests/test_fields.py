@@ -98,8 +98,7 @@ def test_field_for():
 def test_isotropic_matches_pair(q, n):
     # the plane-parity test against the general inner product pair(v, v)
     f = field_for(q)
-    pair = f.packed_ops(n)[1]
-    isotropic = f.isotropic(n)
+    pair, isotropic = f.packed_ops(n).pair, f.packed_ops(n).isotropic
     rng = random.Random(q * 100 + n)
     words = [rng.getrandbits(f.bits * n) for _ in range(2000)]
     if q ** n <= 4096:
@@ -115,7 +114,8 @@ def test_isotropic_matches_pair(q, n):
 def test_isotropic_property(q, n, data):
     f = field_for(q)
     v = data.draw(st.integers(0, (1 << f.bits * n) - 1))
-    assert f.isotropic(n)(v) == (f.packed_ops(n)[1](v, v) == 0)
+    ops = f.packed_ops(n)
+    assert ops.isotropic(v) == (ops.pair(v, v) == 0)
 
 
 def _pair_by_definition(f, n, u, v):
@@ -132,7 +132,7 @@ def _pair_by_definition(f, n, u, v):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 13])
 def test_pair_matches_definition(q, n):
     f = field_for(q)
-    pair = f.packed_ops(n)[1]
+    pair = f.packed_ops(n).pair
     rng = random.Random(q * 1000 + n)
     size = 1 << f.bits * n
     pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(2000)]
@@ -150,16 +150,45 @@ def test_pair_matches_definition(q, n):
 def test_pair_property(q, n, data):
     f = field_for(q)
     u, v = (data.draw(st.integers(0, (1 << f.bits * n) - 1)) for _ in range(2))
-    assert f.packed_ops(n)[1](u, v) == _pair_by_definition(f, n, u, v)
+    assert f.packed_ops(n).pair(u, v) == _pair_by_definition(f, n, u, v)
+
+
+_MODULUS = {2: 0b10, 4: 0b111, 16: 0b11111}
+
+
+def _scale_by_definition(f, n, c, v):
+    # c*v one symbol at a time: the carry-less product of the bit patterns
+    # as polynomials over GF(2), reduced mod the field's modulus; it shares
+    # no code with the field (whose mul table comes from multiples)
+    m, b = f.q - 1, f.bits
+    out = 0
+    for i in range(n):
+        a, prod = v >> i * b & m, 0
+        for j in range(b):
+            if c >> j & 1:
+                prod ^= a << j
+        for j in range(2 * b - 2, b - 1, -1):
+            if prod >> j & 1:
+                prod ^= _MODULUS[f.q] << j - b
+        out |= prod << i * b
+    return out
 
 
 @pytest.mark.parametrize("q", [2, 4, 16])
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_multiples_match_scale(q, n):
     f = field_for(q)
-    scale, multiples = f.packed_ops(n)[0], f.multiples(n)
+    multiples = f.packed_ops(n).multiples
     rng = random.Random(q + n)
     for v in [0, (1 << f.bits * n) - 1] + [rng.getrandbits(f.bits * n) for _ in range(200)]:
         mv = multiples(v)
         assert len(mv) == q
-        assert all(mv[c] == scale(c, v) for c in range(q)), v
+        assert all(mv[c] == _scale_by_definition(f, n, c, v) for c in range(q)), v
+
+
+@given(st.sampled_from([2, 4, 16]), st.integers(1, 40), st.data())
+def test_multiples_property(q, n, data):
+    f = field_for(q)
+    v = data.draw(st.integers(0, (1 << f.bits * n) - 1))
+    c = data.draw(st.integers(0, q - 1))
+    assert f.packed_ops(n).multiples(v)[c] == _scale_by_definition(f, n, c, v)

@@ -53,6 +53,18 @@ def test_products_match_factor_lists():
             assert mass.s_type2(ell) == 2 * prod(factors(1, h - 2))
 
 
+def test_counts_past_the_bit_limit_are_refused():
+    # binary ell <= 4096 and GF(16) ell <= 2048 are computed; the next
+    # lengths whose exponent sum passes 2^21 are refused
+    assert mass.n_sd_binary(4096).bit_length() == 2096130
+    assert mass.n_sd_hermitian16(2048).bit_length() == 2097153
+    for count, ell in ((mass.n_sd_binary, 4098), (mass.m_sd_binary, 4100),
+                       (mass.t_type2, 4104), (mass.s_type2, 4104),
+                       (mass.n_sd_hermitian16, 2050), (mass.m_sd_hermitian16, 2052)):
+        with pytest.raises(ValueError, match="limit"):
+            count(ell)
+
+
 def test_ratios_are_exact():
     for ell in range(4, 65, 2):
         assert mass.n_sd_binary(ell) == mass.binary_ratio(ell) * mass.m_sd_binary(ell)
