@@ -98,7 +98,8 @@ def test_field_for():
 def test_isotropic_matches_pair(q, n):
     # the plane-parity test against the general inner product pair(v, v)
     f = field_for(q)
-    pair, isotropic = f.packed_ops(n).pair, f.packed_ops(n).isotropic
+    ops = f.packed_ops(n)
+    pair, isotropic = ops.pair, ops.isotropic
     rng = random.Random(q * 100 + n)
     words = [rng.getrandbits(f.bits * n) for _ in range(2000)]
     if q ** n <= 4096:
