@@ -26,7 +26,8 @@ from .constructions import (
     quintic_map,
     section_shift,
 )
-from .census import count_words_by_type, sample_self_dual
+from .bounds import count_words_by_type
+from .census import sample_self_dual
 from . import bounds, mass
 from . import census as census
 

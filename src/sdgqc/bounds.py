@@ -14,16 +14,22 @@ least the true count of such words, the coefficient of z^e in
 (1 + 10z^2 + 5z^4)^ell, only for e <= 2*ell; every certified d* in tests/fixtures/dstar_fixtures.json
 (24 at ell=40, 46 at 80, 90 at 160, 178 at 320) lies in that range.
 `a2_bound` gives the exact count by default.
+
+`count_words_by_type` counts the quintic image's words of each type and
+weight exactly, at every block length, by character sums.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from numbers import Rational
 from typing import Iterable, Iterator, List
+
+from .fields import GF16
 
 LITERAL = "literal"
 EXACT = "exact"
@@ -46,7 +52,6 @@ class AsymptoteRow:
     ell: int
     d_star: int
     delta: float
-    gqc_delta: float
     mode: str
 
 
@@ -100,6 +105,61 @@ def a2_bound(ell: int, d: int, mode: str = EXACT) -> int:
 def a3_bound(ell: int, d: int) -> int:
     """Per-weight bound for words with zero GF(16) component."""
     return binom0(ell, Fraction(d, 5))
+
+
+#: the quintic map's coordinate pairs (x, s), x in GF(2) and s in GF(16), as
+#: cells (x, s^5, weight of the pair's 5-bit block).  The block is x*11111
+#: plus (a0, a0+a1, a1+a2, a2+a3, a3) for the bits a of s, which has even
+#: weight; x = 1 complements it.  s^5 is zero only at s = 0.
+_QUINTIC_CELLS = tuple(
+    (x, GF16.pow(s, 5), abs(5 * x - (s ^ s << 1).bit_count())) for x in (0, 1) for s in range(16)
+)
+
+
+def _words_of_weight(cells, ell: int, d: int, restricted: bool) -> int:
+    """Number of words in cells^ell of weight d; with restricted, only
+    those whose x sum to 0 in GF(2) and whose s^5 sum to 0 in GF(16).
+
+    That condition's indicator is the mean of the 32 characters
+    (-1)^(e*sum(x) + |a & sum(s^5)|), e < 2, a < 16 (|.| counts set
+    bits), and each character is
+    a product over the coordinates, so the count is the coefficient of z^d
+    in (1/32) sum_{e,a} P_{e,a}(z)^ell, where P_{e,a}(z) is the sum over
+    the cells of (-1)^(e*x + |a & s^5|) z^w; unrestricted, the trivial
+    character alone.  Each P is evaluated at z = 2^b (Kronecker
+    substitution): a summed coefficient is at most 32 times a count of fewer than
+    2^(5*ell) words, so with b = 5*ell + 5 the coefficients are the
+    base-2^b digits of the sum.  Characters equal on every cell give one P,
+    raised to the power once.
+    """
+    chars = [(e, a) for e in (0, 1) for a in range(16)] if restricted else [(0, 0)]
+    b = 5 * ell + 5
+    polys = Counter(
+        sum((-1) ** (e * x + (a & n).bit_count()) << b * w for x, n, w in cells)
+        for e, a in chars
+    )
+    total = sum(m * p**ell for p, m in polys.items())
+    return (total >> b * d) % (1 << b) // len(chars)
+
+
+def count_words_by_type(ell: int, d: int, restricted: bool = False):
+    """(a1, a2, a3): the numbers of weight-d words of the quintic image at
+    block length ell with both components nonzero, with zero binary
+    component, and with zero GF(16) component.
+
+    With restricted=True only words with even-weight x and
+    Hermitian-isotropic s (the s_i^5 sum to 0) count.  The words over the
+    x = 0 cells and over the s = 0 cells give a2 and a3, and the rest of
+    all words give a1.  The map is one-to-one on each coordinate's 32
+    pairs, so only the zero word weighs 0.
+    """
+    if ell < 1:
+        raise ValueError(f"ell must be >= 1, got {ell}")
+    if not 0 < d <= 5 * ell:
+        return 0, 0, 0
+    a2 = _words_of_weight([c for c in _QUINTIC_CELLS if not c[0]], ell, d, restricted)
+    a3 = _words_of_weight([c for c in _QUINTIC_CELLS if not c[1]], ell, d, restricted)
+    return _words_of_weight(_QUINTIC_CELLS, ell, d, restricted) - a2 - a3, a2, a3
 
 
 def _term(ell: int, e: int, mode: str, coef2: int, coef16: int) -> int:
@@ -265,11 +325,7 @@ def ball_volume(q: int, n: int, r: int) -> int:
 
 
 def asymptote_table(construction: str, ells: Iterable[int], mode: str) -> List[AsymptoteRow]:
-    """Certified relative distances delta*(ell) = d*(ell)/(5*ell).
-
-    gqc_delta is the 3/8-scaled value implied by the mixed-co-index direct
-    sum of a cubic and a quintic code.
-    """
+    """Certified relative distances delta*(ell) = d*(ell)/(5*ell)."""
     if construction not in ("quintic", "quintic_type2"):
         raise ValueError(f"unknown construction {construction!r}")
     type2 = construction == "quintic_type2"
@@ -277,5 +333,5 @@ def asymptote_table(construction: str, ells: Iterable[int], mode: str) -> List[A
     for ell in sorted(ells):
         d_star, _ = max_distance(ell, mode, type2=type2)
         delta = d_star / (5 * ell)
-        rows.append(AsymptoteRow(ell, d_star, delta, 3 * delta / 8, mode))
+        rows.append(AsymptoteRow(ell, d_star, delta, mode))
     return rows

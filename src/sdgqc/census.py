@@ -16,12 +16,10 @@ one, throughout.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import mass
-from .constructions import quintic_map
-from .fields import GF16, field_for
+from .fields import field_for
 from .codes import EnumerationBudgetExceeded, LinearCode, _insert, _meet, kernel_basis
 
 
@@ -171,70 +169,14 @@ def census(
 
 
 # ---------------------------------------------------------------------------
-# words of the quintic image, by type
-
-
-@lru_cache(maxsize=None)
-def _type_weight_tables(ell: int, restricted: bool):
-    """Brute-force weight tables for the three word types of the quintic
-    image at block length ell: (c1!=0, c2!=0), (c1=0, c2!=0), (c1!=0, c2=0).
-
-    With restricted=True only even-weight x and Hermitian-isotropic s are
-    enumerated.
-    """
-    if ell < 1 or 2 ** (5 * ell) > 2**22:
-        raise EnumerationBudgetExceeded("brute-force type count needs 2^(5*ell) <= 2^22")
-    f5 = [GF16.pow(a, 5) for a in range(16)]
-    # contribution of symbol c at coordinate i, in block order (bit j*ell+i)
-    blocks = [quintic_map((0,), (c,)) for c in range(16)]
-    contrib = [
-        [sum(bit << (j * ell + i) for j, bit in enumerate(blocks[c])) for c in range(16)]
-        for i in range(ell)
-    ]
-    x_rep = [sum(((x >> i) & 1) << (j * ell + i) for i in range(ell) for j in range(5))
-             for x in range(1 << ell)]
-    t1: dict = {}
-    t2: dict = {}
-    t3: dict = {}
-    for sint in range(16**ell):
-        pattern = 0
-        acc5 = 0
-        t = sint
-        for i in range(ell):
-            c = t & 0xF
-            t >>= 4
-            pattern |= contrib[i][c]
-            acc5 ^= f5[c]
-        if restricted and acc5:
-            continue
-        s_zero = sint == 0
-        for x in range(1 << ell):
-            if restricted and (x.bit_count() & 1):
-                continue
-            x_zero = x == 0
-            if x_zero and s_zero:
-                continue
-            w = (pattern ^ x_rep[x]).bit_count()
-            if x_zero:
-                t2[w] = t2.get(w, 0) + 1
-            elif s_zero:
-                t3[w] = t3.get(w, 0) + 1
-            else:
-                t1[w] = t1.get(w, 0) + 1
-    return t1, t2, t3
-
-
-def count_words_by_type(ell: int, d: int, restricted: bool = False):
-    """(a1, a2, a3): number of weight-d quintic-image words of each type."""
-    t1, t2, t3 = _type_weight_tables(ell, restricted)
-    return t1.get(d, 0), t2.get(d, 0), t3.get(d, 0)
-
-
-# ---------------------------------------------------------------------------
 # sampling
 
 
-def sample_self_dual(q: int, n: int, seed: int, max_tries: int = 100000) -> LinearCode:
+#: draws the sampler makes for one row before it gives up
+_MAX_DRAWS = 100_000
+
+
+def sample_self_dual(q: int, n: int, seed: int) -> LinearCode:
     """A uniformly random self-dual code, bit-exact reproducible per seed.
 
     Grows the code by repeatedly drawing a uniform element of the current
@@ -258,7 +200,7 @@ def sample_self_dual(q: int, n: int, seed: int, max_tries: int = 100000) -> Line
     dual = [1 << i * field.bits for i in reversed(range(n))]
     while len(rows) < n // 2:
         dual_multiples = [multiples(d) for d in reversed(dual)]
-        for _ in range(max_tries):
+        for _ in range(_MAX_DRAWS):
             w = 0
             for md in dual_multiples:
                 c = rng.randrange(q)
@@ -267,7 +209,7 @@ def sample_self_dual(q: int, n: int, seed: int, max_tries: int = 100000) -> Line
             if w and iso(w) and _insert(field, multiples, rows, w):
                 break
         else:
-            raise RuntimeError("sampler failed to extend; raise max_tries")
+            raise RuntimeError(f"sampler drew {_MAX_DRAWS} vectors without extending the code")
         if len(rows) < n // 2:
             dual = _meet(field, ops, dual, w)
     return LinearCode(field, n, tuple(rows))

@@ -104,21 +104,28 @@ def hermitian16_ratio(ell: int) -> int:
     return 2 ** (2 * ell - 2) + 1
 
 
+def _literal(ell: int, exponents: range) -> Fraction:
+    """prod(2^a + 1 for a in exponents) / D^k, the printed denominator
+    D = 12*5^ell*ell! taken once per factor (k = len(exponents) factors).
+
+    D^k is refused past 2^_MAX_BITS by k*bit_length(D) before it is built;
+    as D > 4^ell, a length with 2*ell*k past the limit is refused before D
+    itself is.
+    """
+    k = len(exponents)
+    denom = 12 * 5**ell * factorial(ell) if 2 * ell * k <= _MAX_BITS else 0
+    if not denom or k * denom.bit_length() > _MAX_BITS:
+        raise ValueError(f"the literal form's denominator (12*5^ell*ell!)^{k} is past the 2^{_MAX_BITS} limit")
+    return Fraction(_product(exponents), denom**k)
+
+
 def n_sd_hermitian16_literal(ell: int) -> Fraction:
     """Literal printed form of the GF(16) count (diagnostic only)."""
     _check_even(ell)
-    out = Fraction(1)
-    denom = 12 * 5**ell * factorial(ell)
-    for i in range(1, ell // 2):
-        out *= Fraction(2 ** (4 * i + 2) + 1, denom)
-    return out
+    return _literal(ell, range(6, 2 * ell, 4))  # 2^(4i+2) + 1, 1 <= i < ell/2
 
 
 def m_sd_hermitian16_literal(ell: int) -> Fraction:
     """Literal printed form of the containing-word GF(16) count (diagnostic)."""
     _check_even(ell)
-    out = Fraction(1)
-    denom = 12 * 5**ell * factorial(ell)
-    for i in range(1, ell // 2 - 1):
-        out *= Fraction(2 ** (4 * i + 2) + 1, denom)
-    return out
+    return _literal(ell, range(6, 2 * ell - 4, 4))  # 1 <= i < ell/2 - 1

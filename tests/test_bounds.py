@@ -5,8 +5,9 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
+from brute_type_counts import brute_type_counts
 
-from sdgqc import bounds, census
+from sdgqc import bounds
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(ROOT, "tests", "fixtures")
@@ -45,8 +46,9 @@ def test_per_weight_bounds():
 def test_a1_and_a3_bounds_are_sound():
     # exhaustive check over all feasible block lengths and weights
     for ell in (1, 2, 3, 4):
+        rows = brute_type_counts(ell, False)
         for d in range(1, 5 * ell + 1):
-            a1, a2, a3 = census.count_words_by_type(ell, d)
+            a1, a2, a3 = rows[d]
             assert a1 <= bounds.a1_bound(ell, d)
             assert a3 <= bounds.a3_bound(ell, d)
 
@@ -55,14 +57,63 @@ def test_a2_bound_counterexample():
     # the printed s-only per-weight bound is not an upper bound: a single
     # nonzero GF(16) symbol expands to an even-weight block of weight 2 or
     # 4, so at ell=1 there are 5 weight-4 words but the bound allows none
-    assert census.count_words_by_type(1, 4)[1] == 5
+    assert brute_type_counts(1, False)[4][1] == 5
     assert bounds.a2_bound(1, 4, bounds.LITERAL) == 0
     # the restricted (isotropic-s) variant fails too, first at ell=2, d=8
-    assert census.count_words_by_type(2, 8, restricted=True)[1] == 25
+    assert brute_type_counts(2, True)[8][1] == 25
     assert bounds.a2_bound(2, 8, bounds.LITERAL) == 0
     # the default (exact) bound covers both
     assert bounds.a2_bound(1, 4) == 5
     assert bounds.a2_bound(2, 8) == 25
+
+
+def test_count_words_by_type_matches_brute_force():
+    # every weight, and one weight past each end, in both modes
+    for ell in (1, 2, 3, 4):
+        for restricted in (False, True):
+            got = [bounds.count_words_by_type(ell, d, restricted) for d in range(-1, 5 * ell + 2)]
+            assert got == [(0, 0, 0), *brute_type_counts(ell, restricted), (0, 0, 0)]
+
+
+def test_count_words_by_type_matches_oracle_fixture():
+    # frozen by scripts/type_count_oracle.py, a dynamic programme over the
+    # coordinates that shares no code with the package
+    with open(os.path.join(FIXTURES, "type_counts.json")) as f:
+        fix = json.load(f)
+    for mode, restricted in (("unrestricted", False), ("restricted", True)):
+        assert sorted(map(int, fix[mode])) == [5, 8, 16]
+        for ell, rows in fix[mode].items():
+            n = 5 * int(ell)
+            got = [list(bounds.count_words_by_type(int(ell), d, restricted)) for d in range(n + 1)]
+            assert got == rows
+
+
+def test_count_words_by_type_identities():
+    # unrestricted, a2_bound and a3_bound are the exact x = 0 and s = 0
+    # counts, and the map is one-to-one onto the 2^(5*ell) words.
+    # Restricted, I of the 16^ell vectors s are Hermitian-isotropic and
+    # 2^(ell-1) of the x have even weight.
+    for ell in (5, 8, 40):
+        s_only = total = 0
+        for d in range(1, 5 * ell + 1):
+            a1, a2, a3 = bounds.count_words_by_type(ell, d)
+            assert (a2, a3) == (bounds.a2_bound(ell, d), bounds.a3_bound(ell, d))
+            assert a1 + a2 + a3 == math.comb(5 * ell, d)
+            r1, r2, r3 = bounds.count_words_by_type(ell, d, restricted=True)
+            s_only += r2
+            total += r1 + r2 + r3
+        isotropic = 4 ** (2 * ell - 1) + (-1) ** ell * 3 * 4 ** (ell - 1)
+        assert s_only == isotropic - 1
+        assert total == 2 ** (ell - 1) * isotropic - 1
+
+
+def test_count_words_by_type_has_no_budget():
+    # ell = 5 is past 2^(5*ell) = 2^22 words.  Weight 2: one s-only block of
+    # weight 2 (5 places, 10 symbols), or two blocks with x = 1 and a
+    # weight-4 s part (C(5, 2) places, 5 symbols each)
+    assert bounds.count_words_by_type(5, 2) == (10 * 25, 5 * 10, 0)
+    with pytest.raises(ValueError):
+        bounds.count_words_by_type(0, 1)
 
 
 def test_exact_a2_summand_in_sound_domain():
@@ -223,6 +274,5 @@ def test_asymptote_table():
         d_star, _ = bounds.max_distance(r.ell, bounds.EXACT)
         assert r.d_star == d_star
         assert r.delta == d_star / (5 * r.ell)
-        assert r.gqc_delta == pytest.approx(3 * r.delta / 8)
     with pytest.raises(ValueError):
         bounds.asymptote_table("cubic", [8], bounds.EXACT)

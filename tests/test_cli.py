@@ -120,13 +120,19 @@ def test_mass_past_int_str_digit_limit(capsys):
 
 
 def test_mass_refuses_huge_lengths_fast(capsys):
-    # the count's bit total alone refuses this; its product and decimal
-    # string would take days
+    # the count's bit total alone refuses this, and a bound on the literal
+    # form's denominator that one; the product and decimal string would
+    # take days
     t0 = time.perf_counter()
     rc, out, err = run(capsys, "mass", "--q", "2", "--ell", "100000")
     assert time.perf_counter() - t0 < 1.0
     assert rc == 2 and out == ""
     assert err == "error: the count exceeds 2^1249975000, past the 2^2097152 limit\n"
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, "mass", "--q", "16", "--ell", "100000", "--literal-paper")
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 2 and out == ""
+    assert err == "error: the literal form's denominator (12*5^ell*ell!)^49999 is past the 2^2097152 limit\n"
 
 
 def test_census(capsys, tmp_path):

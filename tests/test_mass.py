@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
 import pytest
 
@@ -63,6 +63,11 @@ def test_counts_past_the_bit_limit_are_refused():
                        (mass.n_sd_hermitian16, 2050), (mass.m_sd_hermitian16, 2052)):
         with pytest.raises(ValueError, match="limit"):
             count(ell)
+    # the literal forms' denominators (12*5^ell*ell!)^k pass 2^21 bits first
+    # here, by k*bit_length
+    for count, ell in ((mass.n_sd_hermitian16_literal, 642), (mass.m_sd_hermitian16_literal, 644)):
+        with pytest.raises(ValueError, match="limit"):
+            count(ell)
 
 
 def test_ratios_are_exact():
@@ -106,6 +111,12 @@ def test_literal_diagnostic_forms_are_fractions():
     assert v != mass.n_sd_hermitian16(4)
     assert mass.n_sd_hermitian16_literal(2) == 1  # empty product
     assert mass.m_sd_hermitian16_literal(4) == 1
+    # the printed form factor by factor: (2^(4i+2)+1)/D for 1 <= i < ell/2
+    for ell in (6, 40):
+        denom = 12 * 5**ell * factorial(ell)
+        factors = [Fraction(2 ** (4 * i + 2) + 1, denom) for i in range(1, ell // 2)]
+        assert mass.n_sd_hermitian16_literal(ell) == prod(factors)
+        assert mass.m_sd_hermitian16_literal(ell) == prod(factors[:-1])
 
 
 def test_counts_grow_monotonically():
