@@ -67,6 +67,17 @@ def test_a2_bound_counterexample():
     assert bounds.a2_bound(2, 8) == 25
 
 
+def test_quintic_cells():
+    # (x, s^5, block weight) for x = 0, 1 and s = 0..15: s^5 is 0, 1, 12 or
+    # 13 (GF(4) inside GF(16)), and x = 1 complements the 5-bit block
+    assert bounds._QUINTIC_CELLS == (
+        (0, 0, 0), (0, 1, 2), (0, 1, 2), (0, 13, 2), (0, 1, 2), (0, 12, 4), (0, 13, 2), (0, 13, 2),
+        (0, 1, 2), (0, 12, 4), (0, 12, 4), (0, 12, 4), (0, 13, 2), (0, 12, 4), (0, 13, 2), (0, 1, 2),
+        (1, 0, 5), (1, 1, 3), (1, 1, 3), (1, 13, 3), (1, 1, 3), (1, 12, 1), (1, 13, 3), (1, 13, 3),
+        (1, 1, 3), (1, 12, 1), (1, 12, 1), (1, 12, 1), (1, 13, 3), (1, 12, 1), (1, 13, 3), (1, 1, 3),
+    )
+
+
 def test_count_words_by_type_matches_brute_force():
     # every weight, and one weight past each end, in both modes
     for ell in (1, 2, 3, 4):

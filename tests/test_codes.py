@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdgqc import census
 from sdgqc.codes import (
@@ -196,6 +197,30 @@ def test_text_format_roundtrip():
             rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(3)]
             c = LinearCode.from_rows(f, n, rows)
             assert loads(c.dump()) == c
+
+
+@st.composite
+def small_codes(draw):
+    """A code over GF(2), GF(4) or GF(16) of length n <= 8 spanned by up to
+    n random rows, with the field's inner product."""
+    q = draw(st.sampled_from([2, 4, 16]))
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * n), max_size=n))
+    return LinearCode.from_rows(field_for(q), n, rows), EUCLIDEAN if q == 2 else HERMITIAN
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_codes())
+def test_text_format_roundtrip_property(code_inner):
+    c, _ = code_inner
+    assert loads(c.dump()) == c
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_codes())
+def test_dual_of_dual_property(code_inner):
+    c, inner = code_inner
+    assert c.dual(inner).dual(inner) == c
 
 
 def test_loads_accepts_comments_and_rejects_garbage():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdgqc import census
 from sdgqc.codes import EUCLIDEAN, HERMITIAN, LinearCode, extended_hamming_code
@@ -10,13 +11,14 @@ from sdgqc.constructions import (
     cubic_code,
     cubic_map,
     deinterleave,
+    direct_sum,
     direct_sum_gqc,
     interleave,
     is_gqc_invariant,
     quintic_code,
     quintic_map,
 )
-from sdgqc.fields import GF2, GF4, GF16
+from sdgqc.fields import GF2, GF4, GF16, field_for
 
 
 def bits(s):
@@ -46,6 +48,60 @@ def test_cubic_map_is_linear():
         s, sp = rand_vec(rng, 4, ell), rand_vec(rng, 4, ell)
         lhs = vec_add(cubic_map(x, s), cubic_map(xp, sp))
         assert lhs == cubic_map(vec_add(x, xp), vec_add(s, sp))
+
+
+#: cubic_map((x,), (s,)) for x = 0, 1 (outer) and s = 0..3 (inner): with
+#: s = a + b*w the blocks are (x+a, x+b, x+a+b)
+CUBIC_IMAGES = (
+    (
+        (0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 0),
+    ),
+    (
+        (1, 1, 1), (0, 1, 0), (1, 0, 0), (0, 0, 1),
+    ),
+)
+
+#: quintic_map((x,), (s,)) for x = 0, 1 (outer) and s = 0..15 (inner): with
+#: s = a0 + a1*A + a2*A^2 + a3*A^3 the blocks are
+#: (x+a0, x+a0+a1, x+a1+a2, x+a2+a3, x+a3)
+QUINTIC_IMAGES = (
+    (
+        (0, 0, 0, 0, 0), (1, 1, 0, 0, 0), (0, 1, 1, 0, 0), (1, 0, 1, 0, 0),
+        (0, 0, 1, 1, 0), (1, 1, 1, 1, 0), (0, 1, 0, 1, 0), (1, 0, 0, 1, 0),
+        (0, 0, 0, 1, 1), (1, 1, 0, 1, 1), (0, 1, 1, 1, 1), (1, 0, 1, 1, 1),
+        (0, 0, 1, 0, 1), (1, 1, 1, 0, 1), (0, 1, 0, 0, 1), (1, 0, 0, 0, 1),
+    ),
+    (
+        (1, 1, 1, 1, 1), (0, 0, 1, 1, 1), (1, 0, 0, 1, 1), (0, 1, 0, 1, 1),
+        (1, 1, 0, 0, 1), (0, 0, 0, 0, 1), (1, 0, 1, 0, 1), (0, 1, 1, 0, 1),
+        (1, 1, 1, 0, 0), (0, 0, 1, 0, 0), (1, 0, 0, 0, 0), (0, 1, 0, 0, 0),
+        (1, 1, 0, 1, 0), (0, 0, 0, 1, 0), (1, 0, 1, 1, 0), (0, 1, 1, 1, 0),
+    ),
+)
+
+
+@pytest.mark.parametrize("phi, images", [(cubic_map, CUBIC_IMAGES), (quintic_map, QUINTIC_IMAGES)])
+def test_map_single_coordinate_images(phi, images):
+    # every image of one coordinate, and each placed in its own position of
+    # every block at longer lengths: with linearity this fixes the map
+    for x, row in enumerate(images):
+        for s, image in enumerate(row):
+            assert phi((x,), (s,)) == image
+            for ell in (2, 3, 4):
+                for i in range(ell):
+                    unit = lambda c: (0,) * i + (c,) + (0,) * (ell - 1 - i)
+                    want = sum((unit(b) for b in image), ())
+                    assert phi(unit(x), unit(s)) == want
+
+
+def test_quintic_map_is_linear():
+    rng = random.Random(5)
+    for _ in range(100):
+        ell = rng.randrange(1, 7)
+        x, xp = rand_vec(rng, 2, ell), rand_vec(rng, 2, ell)
+        s, sp = rand_vec(rng, 16, ell), rand_vec(rng, 16, ell)
+        lhs = vec_add(quintic_map(x, s), quintic_map(xp, sp))
+        assert lhs == quintic_map(vec_add(x, xp), vec_add(s, sp))
 
 
 def test_quintic_map_examples():
@@ -133,6 +189,36 @@ def test_crt_identity():
         assert crt_components(quintic_map(x, s)) == (x, scale(s))
     assert crt_components((0,) * 10) == ((0, 0), (0, 0))
     assert crt_components((1, 1, 1, 1, 1)) == ((1,), (0,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda ell: st.tuples(st.tuples(*[st.integers(0, 1)] * ell), st.tuples(*[st.integers(0, 15)] * ell))
+))
+def test_crt_property(xs):
+    x, s = xs
+    assert crt_components(quintic_map(x, s)) == (x, tuple(GF16.mul(0x3, si) for si in s))
+
+
+@st.composite
+def code_pairs(draw):
+    """Two random codes over one of GF(2), GF(4), GF(16), of lengths <= 6."""
+    q = draw(st.sampled_from([2, 4, 16]))
+    out = []
+    for _ in range(2):
+        n = draw(st.integers(1, 6))
+        rows = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * n), max_size=n))
+        out.append(LinearCode.from_rows(field_for(q), n, rows))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(code_pairs())
+def test_direct_sum_property(pair):
+    # against the padded-tuple construction: a's rows then b's, re-reduced
+    a, b = pair
+    rows = [r + (0,) * b.n for r in a.rows] + [(0,) * a.n + r for r in b.rows]
+    assert direct_sum(a, b) == LinearCode.from_rows(a.field, a.n + b.n, rows)
 
 
 def test_block_rotate():
