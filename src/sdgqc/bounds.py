@@ -5,11 +5,11 @@ reproduces the printed inequality term for term, including its e=0 and odd-e
 summands and the coefficients 2^((ell-2)/2), 2^(2*ell-2).  "exact" is the
 certifying form: it sums only even weights e >= 2 (the zero word lies in
 every code, odd weights cannot occur in a binary self-dual code) and uses
-the exact counting ratios 2^(ell/2-1)+1 and 2^(2*ell-2)+1 with all
-arithmetic in big integers.
+the exact counting ratios 2^(ell/2-1)+1 and 2^(2*ell-2)+1 of `mass` with
+all arithmetic in big integers.
 
 Both modes share the printed zero-binary-component summand
-C(ell, e/2)*15^(e/2), `a2_bound(ell, e, LITERAL)` (see `_term`).  It is at
+C(ell, e/2)*15^(e/2), `a2_bound(ell, e, LITERAL)` (see `_summands`).  It is at
 least the true count of such words, the coefficient of z^e in
 (1 + 10z^2 + 5z^4)^ell, only for e <= 2*ell; every certified d* in tests/fixtures/dstar_fixtures.json
 (24 at ell=40, 46 at 80, 90 at 160, 178 at 320) lies in that range.
@@ -29,6 +29,8 @@ from itertools import islice
 from numbers import Rational
 from typing import Iterable, Iterator, List
 
+from . import mass
+from .constructions import quintic_map
 from .fields import GF16
 
 LITERAL = "literal"
@@ -108,11 +110,10 @@ def a3_bound(ell: int, d: int) -> int:
 
 
 #: the quintic map's coordinate pairs (x, s), x in GF(2) and s in GF(16), as
-#: cells (x, s^5, weight of the pair's 5-bit block).  The block is x*11111
-#: plus (a0, a0+a1, a1+a2, a2+a3, a3) for the bits a of s, which has even
-#: weight; x = 1 complements it.  s^5 is zero only at s = 0.
+#: cells (x, s^5, weight of the pair's 5-bit block).  s^5 is zero only at
+#: s = 0.
 _QUINTIC_CELLS = tuple(
-    (x, GF16.pow(s, 5), abs(5 * x - (s ^ s << 1).bit_count())) for x in (0, 1) for s in range(16)
+    (x, GF16.pow(s, 5), sum(quintic_map((x,), (s,)))) for x in (0, 1) for s in range(16)
 )
 
 
@@ -162,48 +163,28 @@ def count_words_by_type(ell: int, d: int, restricted: bool = False):
     return _words_of_weight(_QUINTIC_CELLS, ell, d, restricted) - a2 - a3, a2, a3
 
 
-def _term(ell: int, e: int, mode: str, coef2: int, coef16: int) -> int:
-    """One weight-e summand of the left-hand side.
-
-    The A2 part is the printed `a2_bound(ell, e, LITERAL)` in both modes,
-    not the exact `a2_bound(ell, e)`: it bounds the true count only for
-    e <= 2*ell.  This closed form is the reference for `_summands`, which
-    the left-hand sides are summed from.
-    """
-    if mode == EXACT and (e == 0 or e % 2):
-        return 0
-    t = math.comb(5 * ell, e) + coef2 * a2_bound(ell, e, LITERAL)
-    if e % 5 == 0:
-        t += coef16 * binom0(ell, e // 5)
-    return t
-
-
 def _coefficients(ell: int, mode: str, type2: bool):
-    if type2:
-        if ell <= 0 or ell % 8:
-            raise ValueError("needs ell to be a positive multiple of 8")
-        exp2 = ell // 2 - 2  # (ell-4)/2
-    else:
-        if ell <= 0 or ell % 2:
-            raise ValueError("needs ell to be a positive even integer")
-        exp2 = ell // 2 - 1  # (ell-2)/2
-    exp16 = 2 * ell - 2
-    if mode == LITERAL:
-        coef2, coef16 = 2**exp2, 2**exp16
-    elif mode == EXACT:
-        coef2, coef16 = 2**exp2 + 1, 2**exp16 + 1
-    else:
+    """(coef2, coef16, rhs): the counting ratios N/M of `mass`, binary (or
+    Type II) and GF(16), less one each in LITERAL mode, and their product."""
+    ratios = (mass.type2_ratio(ell) if type2 else mass.binary_ratio(ell), mass.hermitian16_ratio(ell))
+    if mode not in (LITERAL, EXACT):
         raise ValueError(f"unknown mode {mode!r}")
-    rhs = (2**exp2 + 1) * (2**exp16 + 1)
-    return coef2, coef16, rhs
+    coef2, coef16 = (r - (mode == LITERAL) for r in ratios)
+    return coef2, coef16, ratios[0] * ratios[1]
 
 
 def _summands(ell: int, mode: str, coef2: int, coef16: int) -> Iterator[int]:
-    """`_term(ell, e, mode, coef2, coef16)` for e = 0, 1, ..., 5*ell.
+    """The weight-e summands of the left-hand side for e = 0, 1, ..., 5*ell:
+    C(5*ell, e) + coef2*C(ell, e/2)*15^(e/2) + coef16*C(ell, e/5), a term
+    with a fractional index counting 0, and in EXACT mode 0 at e = 0 and at
+    odd e.
 
-    C(5*ell, e), the printed C(ell, e/2)*15^(e/2) and C(ell, e/5) are each
-    stepped forward by their multiplicative recurrence rather than
-    recomputed from scratch: C(m, e+1) = C(m, e)*(m-e)/(e+1), exactly.
+    The A2 part is the printed `a2_bound(ell, e, LITERAL)` in both modes,
+    not the exact `a2_bound(ell, e)`: it bounds the true count only for
+    e <= 2*ell.  C(5*ell, e), the printed C(ell, e/2)*15^(e/2) and
+    C(ell, e/5) are each stepped forward by their multiplicative
+    recurrence rather than recomputed from scratch:
+    C(m, e+1) = C(m, e)*(m-e)/(e+1), exactly.
     """
     m = 5 * ell
     skip = mode == EXACT  # the zero word and odd weights
@@ -301,14 +282,18 @@ def entropy(q: int, x: float) -> float:
     return (x * math.log(q - 1) - x * math.log(x) - (1 - x) * math.log(1 - x)) / lg
 
 
-def inverse_entropy(q: int, y: float, tol: float = 1e-9) -> float:
+#: inverse_entropy bisects until its bracket is this narrow
+_ENTROPY_TOL = 1e-9
+
+
+def inverse_entropy(q: int, y: float) -> float:
     """The unique x in [0, (q-1)/q] with entropy(q, x) = y, by bisection."""
     if q < 2:
         raise ValueError("q must be >= 2")
     if not 0 <= y <= 1:
         raise ValueError(f"y={y} outside [0, 1]")
     lo, hi = 0.0, (q - 1) / q
-    while hi - lo > tol:
+    while hi - lo > _ENTROPY_TOL:
         mid = (lo + hi) / 2
         if entropy(q, mid) < y:
             lo = mid

@@ -31,6 +31,8 @@ from .codes import EnumerationBudgetExceeded, LinearCode, _insert, _meet, kernel
 #: computed; up to it the count has under 4,300 digits (the default
 #: int-to-str limit) and its product takes microseconds
 _EXACT_BITS = 14_000
+#: the census refuses a length with more self-dual codes than this
+_CODE_LIMIT = 10**6
 
 
 def _count_exponent(q: int, n: int, type2: bool) -> int:
@@ -53,14 +55,13 @@ def census(
     type2: bool = False,
     containing: Optional[Sequence[int]] = None,
     with_codes: bool = False,
-    code_limit: int = 10**6,
     state_limit: int = 10**8,
 ):
     """Exact count (and optionally the list) of self-dual codes of length n.
 
     Returns (count, codes) where codes is None unless with_codes is set;
     codes are sorted by their RREF rows.  A length whose mass-formula count
-    exceeds code_limit is refused before the search; state_limit bounds
+    exceeds _CODE_LIMIT is refused before the search; state_limit bounds
     the number of search-tree nodes visited.
     """
     if q not in (2, 16):
@@ -74,14 +75,14 @@ def census(
     # feasibility: the leaves alone are this many.  Far past the limit the
     # lower bound alone refuses: the product would take minutes to compute
     exponent = _count_exponent(q, n, type2)
-    if exponent > max(_EXACT_BITS, code_limit.bit_length()):
-        raise EnumerationBudgetExceeded(f"more than 2^{exponent} codes, limit {code_limit}")
+    if exponent > _EXACT_BITS:
+        raise EnumerationBudgetExceeded(f"more than 2^{exponent} codes, limit {_CODE_LIMIT}")
     if q == 2:
         expected = mass.t_type2(n) if type2 else mass.n_sd_binary(n)
     else:
         expected = mass.n_sd_hermitian16(n)
-    if expected > code_limit:
-        raise EnumerationBudgetExceeded(f"about {expected} codes, limit {code_limit}")
+    if expected > _CODE_LIMIT:
+        raise EnumerationBudgetExceeded(f"about {expected} codes, limit {_CODE_LIMIT}")
 
     ops = field.packed_ops(n)
     support, multiples = ops.support, ops.multiples

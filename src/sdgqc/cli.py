@@ -112,6 +112,8 @@ def cmd_mindist(args) -> int:
 
 def cmd_mass(args) -> int:
     ell = args.ell
+    if args.type2 and args.q != 2:
+        raise UsageError("--type2 needs q=2")
     if args.literal_paper:
         if args.q != 16:
             raise UsageError("--literal-paper only applies to q=16")
@@ -129,8 +131,6 @@ def cmd_mass(args) -> int:
         else:
             val = mass.m_sd_binary(ell) if args.containing else mass.n_sd_binary(ell)
     else:
-        if args.type2:
-            raise UsageError("--type2 needs q=2")
         val = mass.m_sd_hermitian16(ell) if args.containing else mass.n_sd_hermitian16(ell)
     text = _digits(val)
     _emit(args, {"q": args.q, "ell": ell, "count": text}, text)

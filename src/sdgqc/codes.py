@@ -200,10 +200,10 @@ class LinearCode:
 
     # -- enumeration --------------------------------------------------------
 
-    def _check_budget(self, budget: int) -> None:
-        if self.field.q**self.k > budget:
+    def _check_budget(self) -> None:
+        if self.field.q**self.k > DEFAULT_BUDGET:
             raise EnumerationBudgetExceeded(
-                f"{self.field.q}^{self.k} codewords exceeds budget {budget}"
+                f"{self.field.q}^{self.k} codewords exceeds budget {DEFAULT_BUDGET}"
             )
 
     def iter_packed(self) -> Iterator[int]:
@@ -225,9 +225,9 @@ class LinearCode:
             word ^= basis[(i & -i).bit_length() - 1]
             yield word
 
-    def weight_tally(self, budget: int = DEFAULT_BUDGET) -> dict:
+    def weight_tally(self) -> dict:
         """Exact weight distribution {weight: count}."""
-        self._check_budget(budget)
+        self._check_budget()
         support = self.field.packed_ops(self.n).support
         tally: dict = {}
         for pv in self.iter_packed():
@@ -235,11 +235,11 @@ class LinearCode:
             tally[w] = tally.get(w, 0) + 1
         return tally
 
-    def min_distance(self, budget: int = DEFAULT_BUDGET) -> int:
+    def min_distance(self) -> int:
         """Minimum Hamming weight over nonzero codewords, by enumeration."""
         if self.k == 0:
             raise ValueError("the zero code has no minimum distance")
-        self._check_budget(budget)
+        self._check_budget()
         support = self.field.packed_ops(self.n).support
         best = self.n + 1
         for pv in self.iter_packed():

@@ -1,19 +1,24 @@
 """Cubic and quintic construction maps, block permutations, shift invariance.
 
-The cubic map sends a binary vector x and a GF(4) vector s = a + b*w to the
-3-block binary word (x+a | x+b | x+a+b); the quintic map sends x and a
-GF(16) vector s with coordinatewise basis expansion (a0, a1, a2, a3) to
-(x+a0 | x+a0+a1 | x+a1+a2 | x+a2+a3 | x+a3).  Outputs are in block order;
-`interleave` converts to the section order in which quasi-cyclicity becomes
-a simultaneous within-section shift.
+Each map is one table (field, block masks).  Block j of the image of a
+binary vector x and a vector s over the field is x + parity(s & masks[j])
+at each coordinate, over the bits of s in the field's polynomial basis.
+The cubic map, over GF(4) with s = a + b*w, sends (x, s) to the 3-block
+binary word (x+a | x+b | x+a+b); the quintic map, over GF(16) with bits
+(a0, a1, a2, a3), sends it to (x+a0 | x+a0+a1 | x+a1+a2 | x+a2+a3 | x+a3).
+Outputs are in block order; `interleave` converts to the section order in
+which quasi-cyclicity becomes a simultaneous within-section shift.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .fields import GF2, GF4, GF16, ALPHA, OMEGA, expand_binary
+from .fields import GF2, GF4, GF16, ALPHA
 from .codes import LinearCode
+
+_CUBIC = (GF4, (0b01, 0b10, 0b11))
+_QUINTIC = (GF16, (0b0001, 0b0011, 0b0110, 0b1100, 0b1000))
 
 
 def _check_bits(x: Sequence[int]) -> tuple:
@@ -23,66 +28,58 @@ def _check_bits(x: Sequence[int]) -> tuple:
     return x
 
 
-def cubic_map(x: Sequence[int], s: Sequence[int]) -> tuple:
-    """(x, s) over GF(2) x GF(4) -> binary word of length 3*len(x)."""
+def _block_map(spec, x: Sequence[int], s: Sequence[int]) -> tuple:
+    """(x, s) -> the len(masks)-block binary word of the table spec."""
+    field, masks = spec
     x = _check_bits(x)
     s = tuple(s)
     if len(x) != len(s):
         raise ValueError("length mismatch")
-    a = tuple(GF4.check(c) & 1 for c in s)
-    b = tuple(c >> 1 & 1 for c in s)
-    b1 = tuple(xi ^ ai for xi, ai in zip(x, a))
-    b2 = tuple(xi ^ bi for xi, bi in zip(x, b))
-    b3 = tuple(xi ^ ai ^ bi for xi, ai, bi in zip(x, a, b))
-    return b1 + b2 + b3
+    s = tuple(map(field.check, s))
+    return tuple(xi ^ (c & m).bit_count() & 1 for m in masks for xi, c in zip(x, s))
+
+
+def cubic_map(x: Sequence[int], s: Sequence[int]) -> tuple:
+    """(x, s) over GF(2) x GF(4) -> binary word of length 3*len(x)."""
+    return _block_map(_CUBIC, x, s)
 
 
 def quintic_map(x: Sequence[int], s: Sequence[int]) -> tuple:
     """(x, s) over GF(2) x GF(16) -> binary word of length 5*len(x)."""
-    x = _check_bits(x)
-    s = tuple(s)
-    if len(x) != len(s):
-        raise ValueError("length mismatch")
-    exp = [expand_binary(c) for c in s]
-    a = [tuple(e[i] for e in exp) for i in range(4)]
-    blocks = (
-        tuple(xi ^ ai for xi, ai in zip(x, a[0])),
-        tuple(xi ^ ai ^ bi for xi, ai, bi in zip(x, a[0], a[1])),
-        tuple(xi ^ ai ^ bi for xi, ai, bi in zip(x, a[1], a[2])),
-        tuple(xi ^ ai ^ bi for xi, ai, bi in zip(x, a[2], a[3])),
-        tuple(xi ^ ai for xi, ai in zip(x, a[3])),
-    )
-    return blocks[0] + blocks[1] + blocks[2] + blocks[3] + blocks[4]
+    return _block_map(_QUINTIC, x, s)
 
 
-def _image_code(c1: LinearCode, c2: LinearCode, phi, scalars, field2, factor: int) -> LinearCode:
+def _image_code(spec, c1: LinearCode, c2: LinearCode) -> LinearCode:
+    """The image of c1 x c2 under the table's map, spanned by the images of
+    c1's rows and of c*g for each row g of c2 and each c in the field's
+    GF(2) basis 1 << j, j < bits."""
+    field, masks = spec
     if c1.field.q != 2:
         raise ValueError("first component must be binary")
-    if c2.field is not field2:
-        raise ValueError(f"second component must be over GF({field2.q})")
+    if c2.field is not field:
+        raise ValueError(f"second component must be over GF({field.q})")
     if c1.n != c2.n:
         raise ValueError("component codes must share their length")
-    ell = c1.n
-    zero_x = (0,) * ell
-    zero_s = (0,) * ell
-    rows = [phi(g, zero_s) for g in c1.rows]
-    for g in c2.rows:
-        for c in scalars:
-            rows.append(phi(zero_x, tuple(field2.mul(c, a) for a in g)))
-    code = LinearCode.from_rows(GF2, factor * ell, rows)
-    assert code.k == c1.k + len(scalars) * c2.k  # phi is injective and linear
+    zero = (0,) * c1.n
+    rows = [_block_map(spec, g, zero) for g in c1.rows]
+    rows += [
+        _block_map(spec, zero, tuple(field.mul(1 << j, a) for a in g))
+        for g in c2.rows
+        for j in range(field.bits)
+    ]
+    code = LinearCode.from_rows(GF2, len(masks) * c1.n, rows)
+    assert code.k == c1.k + field.bits * c2.k  # the map is injective and linear
     return code
 
 
 def cubic_code(c1: LinearCode, c2: LinearCode) -> LinearCode:
     """Image of the cubic map; dim = dim(c1) + 2*dim(c2)."""
-    return _image_code(c1, c2, cubic_map, (1, OMEGA), GF4, 3)
+    return _image_code(_CUBIC, c1, c2)
 
 
 def quintic_code(c1: LinearCode, c2: LinearCode) -> LinearCode:
     """Image of the quintic map; dim = dim(c1) + 4*dim(c2)."""
-    scalars = (1, ALPHA, GF16.mul(ALPHA, ALPHA), GF16.pow(ALPHA, 3))
-    return _image_code(c1, c2, quintic_map, scalars, GF16, 5)
+    return _image_code(_QUINTIC, c1, c2)
 
 
 def crt_components(c: Sequence[int]) -> tuple:
@@ -160,9 +157,10 @@ def direct_sum(a: LinearCode, b: LinearCode) -> LinearCode:
     """Concatenation code {(u|v) : u in a, v in b}."""
     if a.field.q != b.field.q:
         raise ValueError("field mismatch")
-    rows = [r + (0,) * b.n for r in a.rows]
-    rows += [(0,) * a.n + r for r in b.rows]
-    return LinearCode.from_rows(a.field, a.n + b.n, rows)
+    # b's pivots all follow a's, and each basis is zero on the other's
+    # columns, so the joined bases are the canonical RREF as they stand
+    shift = a.n * a.field.bits
+    return LinearCode(a.field, a.n + b.n, a.basis + tuple(r << shift for r in b.basis))
 
 
 def direct_sum_gqc(a: LinearCode, b: LinearCode) -> tuple:

@@ -13,6 +13,18 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(ROOT, "tests", "fixtures")
 
 
+def _term(ell, e, mode, coef2, coef16):
+    """The closed-form weight-e summand of the left-hand side, the reference
+    for `bounds._summands`.  The A2 part is the printed
+    `a2_bound(ell, e, LITERAL)` in both modes."""
+    if mode == bounds.EXACT and (e == 0 or e % 2):
+        return 0
+    t = math.comb(5 * ell, e) + coef2 * bounds.a2_bound(ell, e, bounds.LITERAL)
+    if e % 5 == 0:
+        t += coef16 * bounds.binom0(ell, e // 5)
+    return t
+
+
 def test_binom0():
     assert bounds.binom0(5, 2) == 10
     assert bounds.binom0(5, Fraction(2)) == 10
@@ -136,10 +148,14 @@ def test_exact_a2_summand_in_sound_domain():
         for ell_str, d_star in table.items():
             assert d_star <= 2 * int(ell_str)
     for ell in sorted({int(k) for table in fix.values() for k in table}):
-        for e in range(2, 2 * ell + 1, 2):
-            a2_part = bounds._term(ell, e, bounds.EXACT, 1, 0) - math.comb(5 * ell, e)
-            assert a2_part == bounds.a2_bound(ell, e, bounds.LITERAL)
-            assert a2_part >= bounds.a2_bound(ell, e)
+        # the A2 part of the summed stream: with coef2 = 1 less with coef2 = 0
+        terms = zip(bounds._summands(ell, bounds.EXACT, 1, 0), bounds._summands(ell, bounds.EXACT, 0, 0))
+        for e, (with_a2, without) in enumerate(islice(terms, 2 * ell + 1)):
+            if e and not e % 2:
+                a2_part = with_a2 - without
+                assert a2_part == _term(ell, e, bounds.EXACT, 1, 0) - math.comb(5 * ell, e)
+                assert a2_part == bounds.a2_bound(ell, e, bounds.LITERAL)
+                assert a2_part >= bounds.a2_bound(ell, e)
         # and the range is tight: one step beyond it the printed form is 0
         assert bounds.a2_bound(ell, 2 * ell + 2, bounds.LITERAL) == 0 < bounds.a2_bound(ell, 2 * ell + 2)
 
@@ -199,7 +215,7 @@ def test_summands_match_closed_form():
             for type2 in (False, True) if ell % 8 == 0 else (False,):
                 coef2, coef16, _ = bounds._coefficients(ell, mode, type2)
                 stream = list(islice(bounds._summands(ell, mode, coef2, coef16), top + 1))
-                assert stream == [bounds._term(ell, e, mode, coef2, coef16) for e in range(top + 1)]
+                assert stream == [_term(ell, e, mode, coef2, coef16) for e in range(top + 1)]
     # the stream ends at the heaviest weight 5*ell
     assert len(list(bounds._summands(6, bounds.EXACT, 1, 1))) == 31
 

@@ -250,6 +250,10 @@ def test_usage_errors(capsys):
     assert rc == 2
     rc, _, _ = run(capsys, "mass", "--q", "3", "--ell", "4")
     assert rc == 2
+    # --type2 is a binary notion, with or without the literal GF(16) form
+    for extra in ([], ["--literal-paper"]):
+        rc, out, err = run(capsys, "mass", "--q", "16", "--ell", "4", "--type2", *extra)
+        assert rc == 2 and out == "" and err == "error: --type2 needs q=2\n"
     # --threads was never implemented and is no longer accepted
     for argv in (["mindist", "--code", "x"], ["census", "--q", "2", "--n", "4"],
                  ["maxdist", "--ell", "40", "--mode", "exact"]):

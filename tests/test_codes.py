@@ -168,7 +168,7 @@ def test_enumeration_budget():
     rows = [tuple(1 if j == i else 0 for j in range(30)) for i in range(30)]
     big = LinearCode.from_rows(GF2, 30, rows)
     with pytest.raises(EnumerationBudgetExceeded):
-        big.min_distance(budget=2**24)
+        big.min_distance()
 
 
 def test_contains():
