@@ -23,17 +23,17 @@ _LAYOUT = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
     tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING,
 }
+#: the nodes that can carry a docstring
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def docstring_lines(tree: ast.AST) -> set:
     """The line numbers spanned by every docstring in the tree."""
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            body = node.body
-            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant) \
-                    and isinstance(body[0].value.value, str):
-                out.update(range(body[0].lineno, body[0].end_lineno + 1))
+        if isinstance(node, _DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
+            first = node.body[0]
+            out.update(range(first.lineno, first.end_lineno + 1))
     return out
 
 
