@@ -208,6 +208,22 @@ def test_max_distance_matches_frozen_oracle():
             assert not worse.holds
 
 
+def test_bound_readers_agree():
+    # max_distance and theorem*_check read one left-hand side: the report at
+    # d* is the check's, and past the heaviest weight 5*ell no term is added
+    with open(os.path.join(FIXTURES, "dstar_fixtures.json")) as f:
+        fix = json.load(f)
+    for ell in sorted({int(k) for table in fix.values() for k in table}):
+        for mode in (bounds.LITERAL, bounds.EXACT):
+            for type2, check in ((False, bounds.theorem1_check), (True, bounds.theorem2_check)):
+                d_star, rep = bounds.max_distance(ell, mode, type2=type2)
+                assert d_star and rep == check(ell, d_star, mode)
+                full = check(ell, 5 * ell + 1, mode)
+                assert full.lhs > rep.lhs
+                for d in (5 * ell + 2, 10 * ell, 10**6):
+                    assert check(ell, d, mode).lhs == full.lhs
+
+
 def test_summands_match_closed_form():
     # the recurrence stream against the closed-form summand, term by term
     for ell, top in [(ell, 5 * ell) for ell in (*range(2, 65, 2), 160)] + [(1280, 800)]:
