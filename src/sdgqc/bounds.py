@@ -15,6 +15,12 @@ least the true count of such words, the coefficient of z^e in
 (24 at ell=40, 46 at 80, 90 at 160, 178 at 320) lies in that range.
 `a2_bound` gives the exact count by default.
 
+`_sides` owns the inequality's two sides: the right-hand side, the
+product of the counting ratios, and the running left-hand side at
+d = 1, 2, ..., one big-integer sum over the weight-e summands for e < d.
+`theorem1_check`, `theorem2_check`, `max_distance` and `mode_discrepancies`
+only read it.
+
 `count_words_by_type` counts the quintic image's words of each type and
 weight exactly, at every block length, by character sums.
 """
@@ -22,10 +28,10 @@ weight exactly, at every block length, by character sums.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from numbers import Rational
 from typing import Iterable, Iterator, List
 
@@ -209,12 +215,20 @@ def _summands(ell: int, mode: str, coef2: int, coef16: int) -> Iterator[int]:
             a3 = a3 * (ell - f) // (f + 1)
 
 
+def _sides(ell: int, mode: str, type2: bool, last: int):
+    """(rhs, running): the right-hand side, and an iterator over the
+    left-hand side at d = 1, 2, ..., min(last, 5*ell + 1), each the sum
+    of the `_summands` below weight d.  No word is heavier than 5*ell, so
+    the left-hand side at any larger d is the one at 5*ell + 1."""
+    coef2, coef16, rhs = _coefficients(ell, mode, type2)
+    return rhs, islice(accumulate(_summands(ell, mode, coef2, coef16)), min(last, 5 * ell + 1))
+
+
 def _check(ell: int, d: int, mode: str, type2: bool) -> BoundReport:
     if d < 1:
         raise ValueError("d must be >= 1")
-    coef2, coef16, rhs = _coefficients(ell, mode, type2)
-    # no word is heavier than 5*ell, and every later term is zero
-    lhs = sum(islice(_summands(ell, mode, coef2, coef16), d))
+    rhs, running = _sides(ell, mode, type2, d)
+    lhs = deque(running, maxlen=1).pop()
     return BoundReport(ell, d, mode, type2, lhs, rhs, lhs < rhs, Fraction(d, 5 * ell))
 
 
@@ -234,12 +248,12 @@ def max_distance(ell: int, mode: str, type2: bool = False):
 
     Returns (d_star, report_at_d_star).
     """
-    coef2, coef16, rhs = _coefficients(ell, mode, type2)
+    rhs, running = _sides(ell, mode, type2, 5 * ell + 1)
     d_star = lhs = 0
-    for d, term in enumerate(_summands(ell, mode, coef2, coef16), 1):
-        if lhs + term >= rhs:
+    for d, total in enumerate(running, 1):
+        if total >= rhs:
             break
-        d_star, lhs = d, lhs + term
+        d_star, lhs = d, total
     if not d_star:
         return 0, None
     return d_star, BoundReport(ell, d_star, mode, type2, lhs, rhs, True, Fraction(d_star, 5 * ell))
@@ -250,13 +264,9 @@ def mode_discrepancies(max_ell: int = 64) -> List[tuple]:
     for even ell <= max_ell and 1 <= d <= 5*ell/2."""
     out = []
     for ell in range(2, max_ell + 1, 2):
-        lit2, lit16, lit_rhs = _coefficients(ell, LITERAL, False)
-        ex2, ex16, ex_rhs = _coefficients(ell, EXACT, False)
-        lit_lhs = ex_lhs = 0
-        terms = zip(_summands(ell, LITERAL, lit2, lit16), _summands(ell, EXACT, ex2, ex16))
-        for d, (lit, ex) in enumerate(islice(terms, 5 * ell // 2), 1):
-            lit_lhs += lit
-            ex_lhs += ex
+        lit_rhs, lit = _sides(ell, LITERAL, False, 5 * ell // 2)
+        ex_rhs, ex = _sides(ell, EXACT, False, 5 * ell // 2)
+        for d, (lit_lhs, ex_lhs) in enumerate(zip(lit, ex), 1):
             if (lit_lhs < lit_rhs) != (ex_lhs < ex_rhs):
                 out.append((ell, d))
     return out
