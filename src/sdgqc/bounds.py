@@ -19,7 +19,9 @@ least the true count of such words, the coefficient of z^e in
 product of the counting ratios, and the running left-hand side at
 d = 1, 2, ..., one big-integer sum over the weight-e summands for e < d.
 `theorem1_check`, `theorem2_check`, `max_distance` and `mode_discrepancies`
-only read it.
+only read it.  It also refuses, with ValueError and before any sum, a
+length whose work estimate (the weights summed times 5*ell bits) passes
+`_MAX_WORK`: the work grows with the square of ell.
 
 `count_words_by_type` counts the quintic image's words of each type and
 weight exactly, at every block length, by character sums.
@@ -215,13 +217,25 @@ def _summands(ell: int, mode: str, coef2: int, coef16: int) -> Iterator[int]:
             a3 = a3 * (ell - f) // (f + 1)
 
 
+#: the most work _sides accepts, estimated as the weights summed times
+#: 5*ell bits: max_distance at ell = 13,106 (0.28 s on a 2-core host under
+#: Python 3.11) is the largest it accepts, and summing all 65,531 weights
+#: there takes 4.5 s
+_MAX_WORK = 2**32
+
+
 def _sides(ell: int, mode: str, type2: bool, last: int):
     """(rhs, running): the right-hand side, and an iterator over the
     left-hand side at d = 1, 2, ..., min(last, 5*ell + 1), each the sum
     of the `_summands` below weight d.  No word is heavier than 5*ell, so
-    the left-hand side at any larger d is the one at 5*ell + 1."""
+    the left-hand side at any larger d is the one at 5*ell + 1.  Refused
+    with ValueError, before any sum, when the work estimate passes
+    _MAX_WORK."""
     coef2, coef16, rhs = _coefficients(ell, mode, type2)
-    return rhs, islice(accumulate(_summands(ell, mode, coef2, coef16)), min(last, 5 * ell + 1))
+    weights = min(last, 5 * ell + 1)
+    if weights * 5 * ell > _MAX_WORK:
+        raise ValueError(f"summing {weights} weights at ell={ell} is past the limit of {_MAX_WORK} bit-steps")
+    return rhs, islice(accumulate(_summands(ell, mode, coef2, coef16)), weights)
 
 
 def _check(ell: int, d: int, mode: str, type2: bool) -> BoundReport:

@@ -224,6 +224,24 @@ def test_bound_readers_agree():
                     assert check(ell, d, mode).lhs == full.lhs
 
 
+def test_work_cap():
+    # the estimate is the weights summed times 5*ell bits: 13,106 is the
+    # largest even ell whose every weight fits under 2^32, and a bound that
+    # sums few weights is accepted at any length.  The refusal comes before
+    # any sum, so nothing here is summed.
+    assert bounds._MAX_WORK == 2**32
+    for ell, type2 in ((13106, False), (13104, True)):
+        bounds._sides(ell, bounds.EXACT, type2, 5 * ell + 1)
+        with pytest.raises(ValueError, match="past the limit"):
+            bounds._sides(ell + 8, bounds.EXACT, type2, 5 * ell + 41)
+    bounds._sides(10**6, bounds.EXACT, False, 858)
+    with pytest.raises(ValueError, match="summing 859 weights at ell=1000000"):
+        bounds._sides(10**6, bounds.EXACT, False, 859)
+    assert bounds.theorem1_check(10**6, 3, bounds.LITERAL).d == 3
+    with pytest.raises(ValueError, match="past the limit"):
+        bounds.max_distance(10**6, bounds.LITERAL, type2=True)
+
+
 def test_summands_match_closed_form():
     # the recurrence stream against the closed-form summand, term by term
     for ell, top in [(ell, 5 * ell) for ell in (*range(2, 65, 2), 160)] + [(1280, 800)]:

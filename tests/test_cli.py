@@ -281,6 +281,19 @@ def test_census_refuses_huge_lengths_fast(capsys):
         assert err == f"error: more than 2^{exponent} codes, limit 1000000\n"
 
 
+def test_bounds_refuse_huge_lengths_fast(capsys):
+    # the work estimate alone refuses these; each sum would run for minutes
+    for argv, weights in ((["maxdist", "--ell", "1000000", "--mode", "exact"], 5000001),
+                          (["bound", "--ell", "1000000", "--d", "400000", "--mode", "exact"], 400000),
+                          (["asymptote", "--construction", "quintic", "--ells", "40,1000000",
+                            "--mode", "exact"], 5000001)):
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 2 and out == ""
+        assert err == f"error: summing {weights} weights at ell=1000000 is past the limit of 4294967296 bit-steps\n"
+
+
 def test_main_reuses_parser_without_leaking_state(capsys, rep2):
     calls = [
         ["maxdist", "--ell", "40", "--mode", "exact", "--json"],
