@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from functools import lru_cache
 
 from . import bounds, census, codes, constructions, mass
@@ -181,7 +180,7 @@ def cmd_maxdist(args) -> int:
     d_star, rep = bounds.max_distance(args.ell, args.mode, type2=args.type2)
     payload = {"ell": args.ell, "mode": args.mode, "type2": args.type2, "d_star": d_star}
     if rep is not None:
-        payload["delta"] = str(Fraction(d_star, 5 * args.ell))
+        payload["delta"] = str(rep.delta)
     _emit(args, payload, str(d_star))
     return 0
 

@@ -293,7 +293,10 @@ def loads(text: str) -> LinearCode:
         parts = lines[idx].split()
         if len(parts) != 2 or parts[0] != key:
             raise ValueError(f"expected '{key} <int>', got {lines[idx]!r}")
-        return int(parts[1])
+        value = int(parts[1])
+        if value < 0:
+            raise ValueError(f"{key} must be nonnegative, got {value}")
+        return value
 
     q = field_line(1, "q")
     n = field_line(2, "n")

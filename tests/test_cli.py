@@ -79,6 +79,14 @@ def test_verify(capsys, rep2, herm2, tmp_path):
     assert payload["self_dual"] is True and payload["type_ii"] is False
 
 
+def test_verify_refuses_negative_length(capsys, tmp_path):
+    bad = tmp_path / "neg.txt"
+    bad.write_text("sdgqc-code v1\nq 2\nn -2\nk 0\n")
+    rc, out, err = run(capsys, "verify", "--code", str(bad), "--inner", "euclidean", "--json")
+    assert rc == 2 and out == ""
+    assert err == f"error: bad code file {bad}: n must be nonnegative, got -2\n"
+
+
 def test_mindist(capsys, rep2):
     rc, out, _ = run(capsys, "mindist", "--code", rep2, "--json")
     assert rc == 0 and json.loads(out)["min_distance"] == 2

@@ -232,6 +232,10 @@ def test_loads_accepts_comments_and_rejects_garbage():
         loads("sdgqc-code v1\nq 2\nn 2\nk 1\n13\n")
     with pytest.raises(ValueError):
         loads("sdgqc-code v1\nq 2\nn 2\nk 2\n11\n11\n")
+    # a negative length or dimension is no code
+    for header, key, value in (("n -2\nk 0", "n", -2), ("n 2\nk -1", "k", -1)):
+        with pytest.raises(ValueError, match=f"^{key} must be nonnegative, got {value}$"):
+            loads(f"sdgqc-code v1\nq 2\n{header}\n")
 
 
 def _is_reduced(field, rows):
