@@ -218,17 +218,22 @@ def test_bound_readers_agree():
             for type2, check in ((False, bounds.theorem1_check), (True, bounds.theorem2_check)):
                 d_star, rep = bounds.max_distance(ell, mode, type2=type2)
                 assert d_star and rep == check(ell, d_star, mode)
-                full = check(ell, 5 * ell + 1, mode)
-                assert full.lhs > rep.lhs
-                for d in (5 * ell + 2, 10 * ell, 10**6):
-                    assert check(ell, d, mode).lhs == full.lhs
+                # at 5*ell + 1 every weight is summed: the binomial sums in
+                # closed form, over even e >= 2 only in EXACT mode
+                coef2, coef16, _ = bounds._coefficients(ell, mode, type2)
+                if mode == bounds.LITERAL:
+                    whole = 2 ** (5 * ell) + coef2 * 16**ell + coef16 * 2**ell
+                else:
+                    whole = 2 ** (5 * ell - 1) - 1 + coef2 * (16**ell - 1) + coef16 * (2 ** (ell - 1) - 1)
+                for d in (5 * ell + 1, 5 * ell + 2, 10 * ell, 10**9):
+                    assert check(ell, d, mode).lhs == whole
 
 
 def test_work_cap():
     # the estimate is the weights summed times 5*ell bits: 13,106 is the
-    # largest even ell whose every weight fits under 2^32, and a bound that
-    # sums few weights is accepted at any length.  The refusal comes before
-    # any sum, so nothing here is summed.
+    # largest even ell at which max_distance's 5*ell + 1 weights fit under
+    # 2^32, and a check that sums few weights is accepted at any length.
+    # The refusal comes before any sum, so nothing here is summed.
     assert bounds._MAX_WORK == 2**32
     for ell, type2 in ((13106, False), (13104, True)):
         bounds._sides(ell, bounds.EXACT, type2, 5 * ell + 1)
