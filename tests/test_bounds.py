@@ -233,7 +233,8 @@ def test_work_cap():
     # the estimate is the weights summed times 5*ell bits: 13,106 is the
     # largest even ell at which max_distance's 5*ell + 1 weights fit under
     # 2^32, and a check that sums few weights is accepted at any length.
-    # The refusal comes before any sum, so nothing here is summed.
+    # The refusal comes before any sum, and the accepted streams here are
+    # never read.
     assert bounds._MAX_WORK == 2**32
     for ell, type2 in ((13106, False), (13104, True)):
         bounds._sides(ell, bounds.EXACT, type2, 5 * ell + 1)

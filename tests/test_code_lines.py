@@ -49,5 +49,5 @@ def test_code_lines_of_blank_and_comment_only_sources():
     assert code_lines.code_lines("") == 0
     assert code_lines.code_lines("\n\n# only a comment\n\n") == 0
     assert code_lines.code_lines('"""Only a docstring."""\n') == 0
-    # a string that opens a module after code is no docstring
+    # a string after the first statement is no docstring
     assert code_lines.code_lines('x = 1\n"""not a docstring"""\n') == 2
