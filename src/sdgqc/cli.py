@@ -124,14 +124,7 @@ def cmd_mass(args) -> int:
         text = _digits(val)
         _emit(args, {"q": 16, "ell": ell, "literal": text}, text)
         return 0
-    if args.q == 2:
-        if args.type2:
-            val = mass.s_type2(ell) if args.containing else mass.t_type2(ell)
-        else:
-            val = mass.m_sd_binary(ell) if args.containing else mass.n_sd_binary(ell)
-    else:
-        val = mass.m_sd_hermitian16(ell) if args.containing else mass.n_sd_hermitian16(ell)
-    text = _digits(val)
+    text = mass.count_digits(args.q, ell, containing=args.containing, type2=args.type2)
     _emit(args, {"q": args.q, "ell": ell, "count": text}, text)
     return 0
 

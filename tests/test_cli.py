@@ -143,6 +143,15 @@ def test_mass_refuses_huge_lengths_fast(capsys):
     assert err == "error: the literal form's denominator (12*5^ell*ell!)^49999 is past the 2^2097152 limit\n"
 
 
+def test_mass_answers_the_largest_counts_fast(capsys):
+    # the largest counts computed; str() of either int takes about 7 s
+    for q, ell, digits in (("16", "2048", 631306), ("2", "4096", 630998)):
+        t0 = time.perf_counter()
+        rc, out, _ = run(capsys, "mass", "--q", q, "--ell", ell)
+        assert time.perf_counter() - t0 < 2.0
+        assert rc == 0 and len(out) == digits + 1 and out[:-1].isdigit() and out[0] != "0"
+
+
 def test_census(capsys, tmp_path):
     rc, out, _ = run(capsys, "census", "--q", "2", "--n", "8")
     assert rc == 0 and out.strip() == "135"

@@ -1,9 +1,49 @@
+import decimal
+import sys
 from fractions import Fraction
 from math import factorial, prod
 
 import pytest
 
 from sdgqc import mass
+
+#: (q, containing, type2) of each count, its int function and the largest
+#: length whose count is computed
+KINDS = [
+    ((2, False, False), mass.n_sd_binary, 4096),
+    ((2, True, False), mass.m_sd_binary, 4098),
+    ((2, False, True), mass.t_type2, 4096),
+    ((2, True, True), mass.s_type2, 4096),
+    ((16, False, False), mass.n_sd_hermitian16, 2048),
+    ((16, True, False), mass.m_sd_hermitian16, 2050),
+]
+
+
+@pytest.fixture
+def no_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def _decimal_string(n: int) -> str:
+    """str(n) for a positive n, built by splitting n's bits in halves and
+    joining the halves' Decimals as hi * 2^w + lo; it shares no code with
+    the factor chunks of mass.count_digits and is not quadratic."""
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+    powers = {}
+
+    def convert(n, bits):
+        if bits <= 4096:
+            return decimal.Decimal(n)
+        w = bits // 2
+        if w not in powers:
+            powers[w] = ctx.power(2, w)
+        hi = ctx.multiply(convert(n >> w, bits - w), powers[w])
+        return ctx.add(hi, convert(n & ((1 << w) - 1), w))
+
+    return str(convert(n, n.bit_length()))
 
 
 def test_binary_counts():
@@ -58,16 +98,51 @@ def test_counts_past_the_bit_limit_are_refused():
     # lengths whose exponent sum passes 2^21 are refused
     assert mass.n_sd_binary(4096).bit_length() == 2096130
     assert mass.n_sd_hermitian16(2048).bit_length() == 2097153
-    for count, ell in ((mass.n_sd_binary, 4098), (mass.m_sd_binary, 4100),
-                       (mass.t_type2, 4104), (mass.s_type2, 4104),
-                       (mass.n_sd_hermitian16, 2050), (mass.m_sd_hermitian16, 2052)):
-        with pytest.raises(ValueError, match="limit"):
+    # the text path refuses them with the same message
+    for ((q, containing, type2), count, _), ell in zip(KINDS, (4098, 4100, 4104, 4104, 2050, 2052)):
+        with pytest.raises(ValueError, match="limit") as refused:
             count(ell)
+        with pytest.raises(ValueError) as refused_text:
+            mass.count_digits(q, ell, containing=containing, type2=type2)
+        assert str(refused_text.value) == str(refused.value)
     # the literal forms' denominators (12*5^ell*ell!)^k pass 2^21 bits first
     # here, by k*bit_length
     for count, ell in ((mass.n_sd_hermitian16_literal, 642), (mass.m_sd_hermitian16_literal, 644)):
         with pytest.raises(ValueError, match="limit"):
             count(ell)
+
+
+@pytest.mark.slow
+def test_count_digits_match_the_counts(no_digit_limit):
+    # every kind at every length up to 400: the text is str() of the int,
+    # and a length the int function refuses the text path refuses alike
+    for (q, containing, type2), count, _ in KINDS:
+        for ell in range(2, 401, 2):
+            try:
+                want = str(count(ell))
+            except ValueError as e:
+                with pytest.raises(ValueError) as refused:
+                    mass.count_digits(q, ell, containing=containing, type2=type2)
+                assert str(refused.value) == str(e)
+                continue
+            assert mass.count_digits(q, ell, containing=containing, type2=type2) == want
+    for q, type2 in ((4, False), (16, True)):
+        with pytest.raises(ValueError):
+            mass.count_digits(q, 8, type2=type2)
+
+
+def test_decimal_string_reference(no_digit_limit):
+    for n in (1, 2, 10**4000 - 1, 10**4000, mass.n_sd_hermitian16(320), mass.t_type2(400)):
+        assert _decimal_string(n) == str(n)
+
+
+@pytest.mark.slow
+def test_count_digits_at_the_largest_lengths():
+    # str() of a 631k-digit int takes about 7 s; _decimal_string is the
+    # reference here instead
+    for (q, containing, type2), count, ell in KINDS:
+        text = mass.count_digits(q, ell, containing=containing, type2=type2)
+        assert text == _decimal_string(count(ell))
 
 
 def test_ratios_are_exact():
