@@ -293,10 +293,14 @@ def loads(text: str) -> LinearCode:
         parts = lines[idx].split()
         if len(parts) != 2 or parts[0] != key:
             raise ValueError(f"expected '{key} <int>', got {lines[idx]!r}")
-        value = int(parts[1])
-        if value < 0:
-            raise ValueError(f"{key} must be nonnegative, got {value}")
-        return value
+        raw = parts[1]
+        digits = raw[1:] if raw.startswith("-") else raw
+        # int() would also take "1_0", "+2" and non-ASCII digits
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"{key} must be a decimal integer, got {raw!r}")
+        if digits != raw:
+            raise ValueError(f"{key} must be nonnegative, got {raw}")
+        return int(raw)
 
     q = field_line(1, "q")
     n = field_line(2, "n")

@@ -87,6 +87,17 @@ def test_verify_refuses_negative_length(capsys, tmp_path):
     assert err == f"error: bad code file {bad}: n must be nonnegative, got -2\n"
 
 
+@pytest.mark.parametrize("key, raw", [("q", "+2"), ("n", "1_0"), ("n", "\u0661\u0660")])
+def test_verify_refuses_non_decimal_header_values(capsys, tmp_path, key, raw):
+    # int() takes each of these (the last is 10 in Arabic-Indic digits)
+    header = {"q": "2", "n": "10", "k": "0", key: raw}
+    bad = tmp_path / "bad.txt"
+    bad.write_text("sdgqc-code v1\n" + "".join(f"{k} {v}\n" for k, v in header.items()), encoding="utf-8")
+    rc, out, err = run(capsys, "verify", "--code", str(bad), "--inner", "euclidean", "--json")
+    assert rc == 2 and out == ""
+    assert err == f"error: bad code file {bad}: {key} must be a decimal integer, got {raw!r}\n"
+
+
 def test_mindist(capsys, rep2):
     rc, out, _ = run(capsys, "mindist", "--code", rep2, "--json")
     assert rc == 0 and json.loads(out)["min_distance"] == 2
