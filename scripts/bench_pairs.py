@@ -23,9 +23,9 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def end_to_end_metrics(path: str = os.path.join(ROOT, "BENCHMARK.json")) -> dict:
+def end_to_end_metrics() -> dict:
     """{metric name: "higher" or "lower"}, the direction that is better."""
-    with open(path, encoding="utf-8") as f:
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         return {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
 
 
