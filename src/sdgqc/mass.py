@@ -1,6 +1,6 @@
 """Exact counting formulas for self-dual code families.
 
-All functions return plain Python ints (arbitrary precision); empty
+The counts and ratios are plain Python ints (arbitrary precision); empty
 products are 1.  The GF(16) Hermitian counts use the product form
 prod (2^(4i+2)+1), which agrees with the exhaustive census and with the
 ratio factors of the existence inequalities; the literal printed form with
