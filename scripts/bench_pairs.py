@@ -6,9 +6,17 @@
 Pair i runs seed --seed + i in both checkouts, the parent first in even
 pairs and the change first in odd ones.  For each end-to-end metric of
 BENCHMARK.json it prints both medians, the parent's quartiles, the ratio
-change/parent of the medians and the number of pairs the change won (ties
-count for neither side).  It exits 1 if any run reports wrong outputs or a
-failed op, and 2 if a run does not finish.  Uses only the standard library.
+change/parent of the medians, the number of pairs the change won (ties
+count for neither side) and a verdict against the metric's relative bound:
+
+- worse beyond bound: the change's median trails the parent's by more than
+  the bound;
+- unresolved: the parent's IQR exceeds the bound times its median, and the
+  change did not win every pair;
+- within bound: otherwise.
+
+It exits 1 if any run reports wrong outputs or a failed op, and 2 if a run
+does not finish.  Uses only the standard library.
 """
 
 from __future__ import annotations
@@ -24,9 +32,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def end_to_end_metrics() -> dict:
-    """{metric name: "higher" or "lower"}, the direction that is better."""
+    """{metric name: (direction, bound)}: "higher" or "lower", whichever is
+    better, and the largest relative loss allowed."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
-        return {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+        return {m["name"]: (m["better"], m["bound"]) for m in json.load(f)["end_to_end"]}
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -39,11 +48,11 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def summarize(pairs: list, better: dict) -> tuple:
+def summarize(pairs: list, metrics: dict) -> tuple:
     """(report lines, whether every run was correct with no failed op) for a
     list of (parent result, change result) pairs."""
     lines = []
-    for name, direction in better.items():
+    for name, (direction, bound) in metrics.items():
         values = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in pairs
                   if name in p["metrics"] and name in c["metrics"]]
         if not values:
@@ -53,8 +62,14 @@ def summarize(pairs: list, better: dict) -> tuple:
         won = sum(sign * (c - p) > 0 for p, c in values)
         q1, _, q3 = statistics.quantiles([p for p, _ in values], n=4) if len(values) > 1 else (parent,) * 3
         ratio = change / parent if parent else float("nan")
+        if sign * (change - parent) < -bound * abs(parent):
+            verdict = "worse beyond bound"
+        elif q3 - q1 > bound * abs(parent) and won < len(values):
+            verdict = "unresolved"
+        else:
+            verdict = "within bound"
         lines.append(f"{name}: parent {parent:.6g} (quartiles {q1:.6g}-{q3:.6g}, IQR {q3 - q1:.4g}), "
-                     f"change {change:.6g}, ratio {ratio:.4f}, change better in {won}/{len(values)} pairs")
+                     f"change {change:.6g}, ratio {ratio:.4f}, change better in {won}/{len(values)} pairs; {verdict}")
     runs = [r for pair in pairs for r in pair]
     bad = [r for r in runs if not r["correct"] or r["failed"]]
     lines.append(f"runs with wrong outputs or failed ops: {len(bad)}/{len(runs)}")

@@ -33,19 +33,8 @@ from .codes import EnumerationBudgetExceeded, LinearCode, _insert, _meet, kernel
 _EXACT_BITS = 14_000
 #: the census refuses a length with more self-dual codes than this
 _CODE_LIMIT = 10**6
-
-
-def _count_exponent(q: int, n: int, type2: bool) -> int:
-    """E with 2^E <= the number of self-dual codes the census would list.
-
-    Each factor 2^a + 1 of the mass formula exceeds 2^a, so E sums the
-    exponents a (plus 1 for the leading 2 of the Type II count).
-    """
-    h = n // 2
-    if q == 16:
-        return 2 * h * h  # a = 4i + 2 for 0 <= i < h
-    m = h - 2 if type2 else h - 1  # a = i for 1 <= i <= m
-    return m * (m + 1) // 2 + int(type2)
+#: the census stops after visiting this many search-tree nodes
+_STATE_LIMIT = 10**8
 
 
 def census(
@@ -55,35 +44,25 @@ def census(
     type2: bool = False,
     containing: Optional[Sequence[int]] = None,
     with_codes: bool = False,
-    state_limit: int = 10**8,
 ):
     """Exact count (and optionally the list) of self-dual codes of length n.
 
     Returns (count, codes) where codes is None unless with_codes is set;
-    codes are sorted by their RREF rows.  A length whose mass-formula count
-    exceeds _CODE_LIMIT is refused before the search; state_limit bounds
-    the number of search-tree nodes visited.
+    codes are sorted by their RREF rows.  A (q, n, type2) that `mass` has
+    no count for raises ValueError, and a length whose count exceeds
+    _CODE_LIMIT is refused before the search; _STATE_LIMIT bounds the
+    number of search-tree nodes visited.
     """
-    if q not in (2, 16):
-        raise ValueError("census supports q in {2, 16}")
-    field = field_for(q)
-    if n < 2 or n % 2:
-        raise ValueError("length must be a positive even integer")
-    if type2 and (q != 2 or n % 8):
-        raise ValueError("Type II censuses need q=2 and length divisible by 8")
-
     # feasibility: the leaves alone are this many.  Far past the limit the
     # lower bound alone refuses: the product would take minutes to compute
-    exponent = _count_exponent(q, n, type2)
+    exponent = mass.count_exponent(q, n, type2=type2)
     if exponent > _EXACT_BITS:
         raise EnumerationBudgetExceeded(f"more than 2^{exponent} codes, limit {_CODE_LIMIT}")
-    if q == 2:
-        expected = mass.t_type2(n) if type2 else mass.n_sd_binary(n)
-    else:
-        expected = mass.n_sd_hermitian16(n)
+    expected = mass.count(q, n, type2=type2)
     if expected > _CODE_LIMIT:
         raise EnumerationBudgetExceeded(f"about {expected} codes, limit {_CODE_LIMIT}")
 
+    field = field_for(q)
     ops = field.packed_ops(n)
     support, multiples = ops.support, ops.multiples
     # a row's own test: <v, v> == 0, or weight 0 mod 4 for Type II
@@ -100,6 +79,7 @@ def census(
             return 0, ([] if with_codes else None)
     found: list = []
     count = nodes = 0
+    state_limit = _STATE_LIMIT  # a local, so grow reads a closure cell
     over = f"state budget {state_limit} exceeded"
 
     def grow(rows: tuple, dual: list, used: int, last: int) -> None:

@@ -44,13 +44,9 @@ def _load_code(path: str) -> LinearCode:
     try:
         return codes.load(path)
     except OSError as e:
-        raise UsageError(f"cannot read {path}: {e.strerror}")
+        raise ValueError(f"cannot read {path}: {e.strerror}")
     except ValueError as e:
-        raise UsageError(f"bad code file {path}: {e}")
-
-
-class UsageError(Exception):
-    pass
+        raise ValueError(f"bad code file {path}: {e}")
 
 
 def _write_code(code: LinearCode, out) -> None:
@@ -65,7 +61,7 @@ def _write_code(code: LinearCode, out) -> None:
 
 def cmd_construct(args) -> int:
     if args.construction == "gqc" and args.interleave:
-        raise UsageError("--interleave does not apply to --construction gqc: its inputs are "
+        raise ValueError("--interleave does not apply to --construction gqc: its inputs are "
                          "interleaved already")
     c1 = _load_code(args.c1)
     c2 = _load_code(args.c2)
@@ -112,10 +108,10 @@ def cmd_mindist(args) -> int:
 def cmd_mass(args) -> int:
     ell = args.ell
     if args.type2 and args.q != 2:
-        raise UsageError("--type2 needs q=2")
+        raise ValueError("--type2 needs q=2")
     if args.literal_paper:
         if args.q != 16:
-            raise UsageError("--literal-paper only applies to q=16")
+            raise ValueError("--literal-paper only applies to q=16")
         val = (
             mass.m_sd_hermitian16_literal(ell)
             if args.containing
@@ -162,7 +158,7 @@ def cmd_bound(args) -> int:
         "lhs": _digits(rep.lhs),
         "rhs": _digits(rep.rhs),
         "holds": rep.holds,
-        "delta": _digits(rep.delta),
+        "delta": str(rep.delta),
     }
     human = f"lhs={payload['lhs']} rhs={payload['rhs']} holds={str(rep.holds).lower()}"
     _emit(args, payload, human)
@@ -181,7 +177,7 @@ def cmd_maxdist(args) -> int:
 def cmd_asymptote(args) -> int:
     ells = [int(t) for t in args.ells.split(",") if t]
     if not ells:
-        raise UsageError("--ells needs at least one block length")
+        raise ValueError("--ells needs at least one block length")
     rows = bounds.asymptote_table(args.construction, ells, args.mode)
     print("ell,d_star,delta,mode")
     for r in rows:
@@ -338,7 +334,7 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else 2
     try:
         return args.fn(args)
-    except (UsageError, ValueError, codes.EnumerationBudgetExceeded) as e:
+    except (ValueError, codes.EnumerationBudgetExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

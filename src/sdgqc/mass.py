@@ -8,9 +8,12 @@ a 12*5^ell*ell! denominator is kept only as a diagnostic (it yields
 non-integers and contradicts the census).
 
 Each count is start * prod(2^a + 1) over a range of exponents a, and
-`_factors` is the one owner of every count's (exponents, start).  A factor
-2^a + 1 is applied as (out << a) + out: a shift and an addition, linear in
-the size of out, in place of a big-integer multiplication.
+`_factors` is the one owner of every count's (exponents, start) and of the
+lengths that have a count.  `count` and `count_exponent`, keyed like
+`count_digits` by (q, ell, containing, type2), give the int and a lower
+bound 2^E on it.  A factor 2^a + 1 is applied as (out << a) + out: a shift
+and an addition, linear in the size of out, in place of a big-integer
+multiplication.
 
 `count_digits` prints a count from its factors in exact decimal arithmetic,
 without building the int: the factors are shift-added into ints of about
@@ -69,13 +72,27 @@ def _factors(q: int, ell: int, containing: bool = False, type2: bool = False) ->
     return range(1, ell // 2 - containing), 1
 
 
+def _exponent_sum(exponents: range) -> int:
+    """sum(a): each factor 2^a + 1 exceeds 2^a, so a product of the factors
+    has more than this many bits."""
+    return len(exponents) * (exponents[0] + exponents[-1]) // 2 if exponents else 0
+
+
+def count_exponent(q: int, ell: int, containing: bool = False, type2: bool = False) -> int:
+    """E with 2^E <= the count: the factors' exponent sum, plus 1 for the
+    leading 2 of a Type II count.  It is an arithmetic-series sum, so it
+    costs nothing at any length."""
+    exponents, start = _factors(q, ell, containing, type2)
+    return _exponent_sum(exponents) + start.bit_length() - 1
+
+
 def _chunks(exponents: range, start: int, bits: float):
     """Ints of about `bits` bits whose product is start * prod(2^a + 1).
 
-    Each factor exceeds 2^a, so the product has more than sum(a) bits; that
-    arithmetic-series sum is refused past _MAX_BITS before any work is done.
+    The product's exponent sum is refused past _MAX_BITS before any work is
+    done.
     """
-    total = len(exponents) * (exponents[0] + exponents[-1]) // 2 if exponents else 0
+    total = _exponent_sum(exponents)
     if total > _MAX_BITS:
         raise ValueError(f"the count exceeds 2^{total}, past the 2^{_MAX_BITS} limit")
     out = start
@@ -91,6 +108,12 @@ def _product(exponents: range, start: int = 1) -> int:
     return prod(_chunks(exponents, start, inf))
 
 
+def count(q: int, ell: int, containing: bool = False, type2: bool = False) -> int:
+    """A count as an int, chosen by q, containing and type2 as in
+    count_digits."""
+    return _product(*_factors(q, ell, containing, type2))
+
+
 def count_digits(q: int, ell: int, containing: bool = False, type2: bool = False) -> str:
     """The decimal string of a count: n_sd_binary, m_sd_binary, t_type2,
     s_type2, n_sd_hermitian16 or m_sd_hermitian16, chosen by q, containing
@@ -104,32 +127,32 @@ def count_digits(q: int, ell: int, containing: bool = False, type2: bool = False
 
 def n_sd_binary(ell: int) -> int:
     """Number of Euclidean self-dual binary codes of length ell."""
-    return _product(*_factors(2, ell))
+    return count(2, ell)
 
 
 def m_sd_binary(ell: int) -> int:
     """Number of self-dual binary codes containing a fixed admissible word."""
-    return _product(*_factors(2, ell, containing=True))
+    return count(2, ell, containing=True)
 
 
 def t_type2(ell: int) -> int:
     """Number of doubly even (Type II) self-dual binary codes."""
-    return _product(*_factors(2, ell, type2=True))
+    return count(2, ell, type2=True)
 
 
 def s_type2(ell: int) -> int:
     """Number of Type II codes containing a fixed admissible word."""
-    return _product(*_factors(2, ell, containing=True, type2=True))
+    return count(2, ell, containing=True, type2=True)
 
 
 def n_sd_hermitian16(ell: int) -> int:
     """Number of Hermitian self-dual GF(16) codes of length ell."""
-    return _product(*_factors(16, ell))
+    return count(16, ell)
 
 
 def m_sd_hermitian16(ell: int) -> int:
     """Number of Hermitian self-dual GF(16) codes containing a fixed word."""
-    return _product(*_factors(16, ell, containing=True))
+    return count(16, ell, containing=True)
 
 
 def binary_ratio(ell: int) -> int:

@@ -132,11 +132,17 @@ def test_hermitian16_census_codes():
     assert all(c.is_self_dual(HERMITIAN) for c in codes)
 
 
-def test_census_rejects_bad_input():
+@pytest.mark.parametrize("q, n, type2", [
+    (4, 2, False), (16, 8, True), (2, 12, True), (2, 3, False), (2, 0, False), (2, -2, False),
+])
+def test_census_rejects_bad_input(monkeypatch, q, n, type2):
+    # `mass` has no count for these, so the census refuses them before its search
+    def search(*args):
+        raise AssertionError("the census searched")
+
+    monkeypatch.setattr(census, "kernel_basis", search)
     with pytest.raises(ValueError):
-        census.census(4, 2)
-    with pytest.raises(ValueError):
-        census.census(2, 3)
+        census.census(q, n, type2=type2)
 
 
 def test_census_count_lower_bound():
@@ -147,12 +153,19 @@ def test_census_count_lower_bound():
                                 (16, False, mass.n_sd_hermitian16)):
             if type2 and n % 8:
                 continue
-            exponent = census._count_exponent(q, n, type2)
+            exponent = mass.count_exponent(q, n, type2=type2)
             assert exponent <= count(n).bit_length() - 1 < exponent + n
     with pytest.raises(EnumerationBudgetExceeded, match=r"^more than 2\^49995000 codes, limit 1000000$"):
         census.census(2, 20000)
     with pytest.raises(EnumerationBudgetExceeded, match=r"^about 4922775 codes, limit 1000000$"):
         census.census(2, 14)
+
+
+def census_within(nodes, *args, **options):
+    """census(*args, **options) with a node budget of `nodes`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(census, "_STATE_LIMIT", nodes)
+        return census.census(*args, **options)
 
 
 def test_census_state_limit():
@@ -161,8 +174,8 @@ def test_census_state_limit():
     # candidates, never a visited node
     for q, n, nodes, codes in [(2, 8, 686, 135), (16, 4, 501, 325), (2, 10, 16116, 2295)]:
         with pytest.raises(EnumerationBudgetExceeded, match="state budget"):
-            census.census(q, n, state_limit=nodes - 1)
-        assert census.census(q, n, state_limit=nodes)[0] == codes
+            census_within(nodes - 1, q, n)
+        assert census_within(nodes, q, n)[0] == codes
 
 
 @pytest.mark.parametrize("q, n, options, nodes, codes", [
@@ -173,15 +186,15 @@ def test_census_state_limit():
 def test_census_state_limit_restricted(q, n, options, nodes, codes):
     # the trees of the restricted censuses, pinned as above
     with pytest.raises(EnumerationBudgetExceeded, match="state budget"):
-        census.census(q, n, state_limit=nodes - 1, **options)
-    assert census.census(q, n, state_limit=nodes, **options)[0] == codes
+        census_within(nodes - 1, q, n, **options)
+    assert census_within(nodes, q, n, **options)[0] == codes
 
 
 def test_census_state_limit_with_codes():
     # every leaf is both counted and listed, within the same node budget
     with pytest.raises(EnumerationBudgetExceeded, match="state budget"):
-        census.census(2, 8, with_codes=True, state_limit=685)
-    count, codes = census.census(2, 8, with_codes=True, state_limit=686)
+        census_within(685, 2, 8, with_codes=True)
+    count, codes = census_within(686, 2, 8, with_codes=True)
     assert count == len(codes) == len(set(codes)) == 135
 
 

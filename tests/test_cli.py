@@ -309,6 +309,14 @@ def test_census_refuses_huge_lengths_fast(capsys):
         assert err == f"error: more than 2^{exponent} codes, limit 1000000\n"
 
 
+def test_census_refuses_lengths_without_a_count(capsys):
+    # `mass` has no count for these, so the census refuses them before it searches
+    for argv, msg in ((["--q", "16", "--n", "4", "--type2"], "no Type II count over GF(16)"),
+                      (["--q", "2", "--n", "12", "--type2"], "length must be a positive multiple of 8, got 12")):
+        rc, out, err = run(capsys, "census", *argv)
+        assert rc == 2 and out == "" and err == f"error: {msg}\n"
+
+
 def test_bounds_refuse_huge_lengths_fast(capsys):
     # the work estimate alone refuses these; each sum would run for minutes
     for argv, weights in ((["maxdist", "--ell", "1000000", "--mode", "exact"], 5000001),

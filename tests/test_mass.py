@@ -93,6 +93,27 @@ def test_products_match_factor_lists():
             assert mass.s_type2(ell) == 2 * prod(factors(1, h - 2))
 
 
+def test_count_and_its_exponent_match_every_kind():
+    # the keyed entry points against the six int functions: the same int,
+    # 2^E <= count, and the same lengths refused
+    for (q, containing, type2), count, _ in KINDS:
+        for ell in range(-2, 401, 2):
+            try:
+                want = count(ell)
+            except ValueError as e:
+                for keyed in (mass.count, mass.count_exponent):
+                    with pytest.raises(ValueError) as refused:
+                        keyed(q, ell, containing=containing, type2=type2)
+                    assert str(refused.value) == str(e)
+                continue
+            assert mass.count(q, ell, containing=containing, type2=type2) == want
+            assert 0 <= mass.count_exponent(q, ell, containing=containing, type2=type2) < want.bit_length()
+    for q, type2 in ((4, False), (16, True)):
+        for keyed in (mass.count, mass.count_exponent):
+            with pytest.raises(ValueError):
+                keyed(q, 8, type2=type2)
+
+
 def test_counts_past_the_bit_limit_are_refused():
     # binary ell <= 4096 and GF(16) ell <= 2048 are computed; the next
     # lengths whose exponent sum passes 2^21 are refused
