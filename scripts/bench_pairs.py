@@ -4,7 +4,8 @@
     python3 scripts/bench_pairs.py --parent ../parent --change . --workload cli-mix
 
 Pair i runs seed --seed + i in both checkouts, the parent first in even
-pairs and the change first in odd ones.  For each end-to-end metric of
+pairs and the change first in odd ones; each run lasts --seconds, by
+default BENCHMARK.json's run_seconds.  For each end-to-end metric of
 BENCHMARK.json it prints both medians, the parent's quartiles, the ratio
 change/parent of the medians, the number of pairs the change won (ties
 count for neither side) and a verdict against the metric's relative bound:
@@ -31,11 +32,14 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def end_to_end_metrics() -> dict:
-    """{metric name: (direction, bound)}: "higher" or "lower", whichever is
-    better, and the largest relative loss allowed."""
+def read_benchmark() -> tuple:
+    """(run_seconds, metrics) from one read of BENCHMARK.json: the length of
+    the benchmark's runs, and {metric name: (direction, bound)} over its
+    end-to-end metrics, with direction "higher" or "lower", whichever is
+    better, and bound the largest relative loss allowed."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
-        return {m["name"]: (m["better"], m["bound"]) for m in json.load(f)["end_to_end"]}
+        spec = json.load(f)
+    return spec["run_seconds"], {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -77,12 +81,14 @@ def summarize(pairs: list, metrics: dict) -> tuple:
 
 
 def main(argv=None) -> int:
+    run_seconds, metrics = read_benchmark()
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="checkout of the parent commit")
     p.add_argument("--change", required=True, help="checkout of the change")
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=8)
+    p.add_argument("--seconds", type=float, default=run_seconds,
+                   help="length of each run (default: BENCHMARK.json's run_seconds)")
     p.add_argument("--seed", type=int, default=1)
     args = p.parse_args(argv)
     if args.pairs < 1:
@@ -101,7 +107,7 @@ def main(argv=None) -> int:
     except RuntimeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    lines, ok = summarize(pairs, end_to_end_metrics())
+    lines, ok = summarize(pairs, metrics)
     print("\n".join(lines))
     return 0 if ok else 1
 

@@ -18,10 +18,10 @@ least the true count of such words, the coefficient of z^e in
 `_sides` owns the inequality's two sides: the right-hand side, the
 product of the counting ratios, and the running left-hand side at
 d = 1, 2, ..., one big-integer sum over the weight-e summands for e < d.
-`theorem1_check`, `theorem2_check`, `max_distance` and `mode_discrepancies`
-only read it.  It also refuses, with ValueError and before any sum, a
-length whose work estimate (the weights summed times 5*ell bits) passes
-`_MAX_WORK`: the work grows with the square of ell.
+`check`, `max_distance` and `mode_discrepancies` only read it.  It also
+refuses, with ValueError and before any sum, a length whose work estimate
+(the weights summed times 5*ell bits) passes `_MAX_WORK`: the work grows
+with the square of ell.
 
 `count_words_by_type` counts the quintic image's words of each type and
 weight exactly, at every block length, by character sums.
@@ -174,7 +174,7 @@ def count_words_by_type(ell: int, d: int, restricted: bool = False):
 def _coefficients(ell: int, mode: str, type2: bool):
     """(coef2, coef16, rhs): the counting ratios N/M of `mass`, binary (or
     Type II) and GF(16), less one each in LITERAL mode, and their product."""
-    ratios = (mass.type2_ratio(ell) if type2 else mass.binary_ratio(ell), mass.hermitian16_ratio(ell))
+    ratios = (mass.ratio(2, ell, type2=type2), mass.ratio(16, ell))
     if mode not in (LITERAL, EXACT):
         raise ValueError(f"unknown mode {mode!r}")
     coef2, coef16 = (r - (mode == LITERAL) for r in ratios)
@@ -238,23 +238,15 @@ def _sides(ell: int, mode: str, type2: bool, last: int):
     return rhs, islice(accumulate(_summands(ell, mode, coef2, coef16)), weights)
 
 
-def _check(ell: int, d: int, mode: str, type2: bool) -> BoundReport:
+def check(ell: int, d: int, mode: str, type2: bool = False) -> BoundReport:
+    """The existence condition for a self-dual 5-quasi-cyclic code of
+    length 5*ell and distance >= d: Theorem 1 with type2=False, and
+    Theorem 2, for a doubly even (Type II) one, with type2=True."""
     if d < 1:
         raise ValueError("d must be >= 1")
     rhs, running = _sides(ell, mode, type2, d)
     lhs = deque(running, maxlen=1).pop()
     return BoundReport(ell, d, mode, type2, lhs, rhs, lhs < rhs, Fraction(d, 5 * ell))
-
-
-def theorem1_check(ell: int, d: int, mode: str) -> BoundReport:
-    """Existence condition for a self-dual 5-quasi-cyclic code of length
-    5*ell and distance >= d."""
-    return _check(ell, d, mode, type2=False)
-
-
-def theorem2_check(ell: int, d: int, mode: str) -> BoundReport:
-    """Existence condition for a doubly even self-dual 5-quasi-cyclic code."""
-    return _check(ell, d, mode, type2=True)
 
 
 def max_distance(ell: int, mode: str, type2: bool = False):

@@ -26,20 +26,6 @@ def _emit(args, payload: dict, human: str) -> None:
         print(human)
 
 
-def _digits(val) -> str:
-    """str(val) for a computed number, which can run past the interpreter's
-    int-to-str digit limit (4300 digits by default); the limit is lifted
-    for this one conversion only."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
-        return str(val)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(val)
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def _load_code(path: str) -> LinearCode:
     try:
         return codes.load(path)
@@ -112,12 +98,7 @@ def cmd_mass(args) -> int:
     if args.literal_paper:
         if args.q != 16:
             raise ValueError("--literal-paper only applies to q=16")
-        val = (
-            mass.m_sd_hermitian16_literal(ell)
-            if args.containing
-            else mass.n_sd_hermitian16_literal(ell)
-        )
-        text = _digits(val)
+        text = mass.decimal_text(mass.literal(ell, containing=args.containing))
         _emit(args, {"q": 16, "ell": ell, "literal": text}, text)
         return 0
     text = mass.count_digits(args.q, ell, containing=args.containing, type2=args.type2)
@@ -148,15 +129,14 @@ def cmd_sample(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    check = bounds.theorem2_check if args.type2 else bounds.theorem1_check
-    rep = check(args.ell, args.d, args.mode)
+    rep = bounds.check(args.ell, args.d, args.mode, type2=args.type2)
     payload = {
         "ell": rep.ell,
         "d": rep.d,
         "mode": rep.mode,
         "type2": rep.type2,
-        "lhs": _digits(rep.lhs),
-        "rhs": _digits(rep.rhs),
+        "lhs": mass.decimal_text(rep.lhs),
+        "rhs": mass.decimal_text(rep.rhs),
         "holds": rep.holds,
         "delta": str(rep.delta),
     }
@@ -204,30 +184,19 @@ def cmd_selftest(args) -> int:
 
     for n, want in [(2, 1), (4, 3), (6, 15), (8, 135)]:
         got, _ = census.census(2, n)
-        check(f"binary census n={n} == {want}", got == want == mass.n_sd_binary(n))
+        check(f"binary census n={n} == {want}", got == want == mass.count(2, n))
     got, _ = census.census(2, 8, type2=True)
-    check("type-II census n=8 == 30", got == 30 == mass.t_type2(8))
+    check("type-II census n=8 == 30", got == 30 == mass.count(2, 8, type2=True))
     got, _ = census.census(2, 4, containing=(1, 1, 0, 0))
-    check("binary containing-census n=4 == 1", got == 1 == mass.m_sd_binary(4))
+    check("binary containing-census n=4 == 1", got == 1 == mass.count(2, 4, containing=True))
     for n in (2, 4):
         got, _ = census.census(16, n)
-        if args.literal_paper:
-            want = mass.n_sd_hermitian16_literal(n)
-        else:
-            want = mass.n_sd_hermitian16(n)
+        want = mass.literal(n) if args.literal_paper else mass.count(16, n)
         check(f"GF(16) census n={n} matches formula", got == want)
-    for ell in range(4, 33, 2):
-        if mass.n_sd_binary(ell) != mass.binary_ratio(ell) * mass.m_sd_binary(ell):
-            check(f"binary ratio ell={ell}", False)
-            break
-    else:
-        check("binary ratio anchor (ell<=32)", True)
-    for ell in range(2, 33, 2):
-        if mass.n_sd_hermitian16(ell) != mass.hermitian16_ratio(ell) * mass.m_sd_hermitian16(ell):
-            check(f"GF(16) ratio ell={ell}", False)
-            break
-    else:
-        check("GF(16) ratio anchor (ell<=32)", True)
+    for q, name, first in ((2, "binary", 4), (16, "GF(16)", 2)):
+        bad = next((ell for ell in range(first, 33, 2)
+                    if mass.count(q, ell) != mass.ratio(q, ell) * mass.count(q, ell, containing=True)), None)
+        check(f"{name} ratio ell={bad}" if bad else f"{name} ratio anchor (ell<=32)", bad is None)
     grid_ok = all(
         abs(4 * bounds.entropy(16, i / 100) - (i / 100 * math.log2(15) + bounds.entropy(2, i / 100))) < 1e-12
         for i in range(1, 100)

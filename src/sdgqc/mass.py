@@ -4,16 +4,19 @@ The counts and ratios are plain Python ints (arbitrary precision); empty
 products are 1.  The GF(16) Hermitian counts use the product form
 prod (2^(4i+2)+1), which agrees with the exhaustive census and with the
 ratio factors of the existence inequalities; the literal printed form with
-a 12*5^ell*ell! denominator is kept only as a diagnostic (it yields
-non-integers and contradicts the census).
+a 12*5^ell*ell! denominator, `literal`, is kept only as a diagnostic (it
+yields non-integers and contradicts the census).
 
 Each count is start * prod(2^a + 1) over a range of exponents a, and
-`_factors` is the one owner of every count's (exponents, start) and of the
-lengths that have a count.  `count` and `count_exponent`, keyed like
-`count_digits` by (q, ell, containing, type2), give the int and a lower
-bound 2^E on it.  A factor 2^a + 1 is applied as (out << a) + out: a shift
-and an addition, linear in the size of out, in place of a big-integer
-multiplication.
+`_factors` is the one owner of every count's (exponents, start), of every
+count ratio and of the lengths that have a count.  Every question is one
+call keyed by q (2 or 16), ell, containing (the count of codes containing
+a fixed admissible word) and type2 (doubly even binary codes): `count` and
+`count_exponent` give the int and a lower bound 2^E on it, `count_digits`
+its decimal string, and `ratio` the exact ratio of the count to its
+containing-word count.  A factor 2^a + 1 is applied as (out << a) + out: a
+shift and an addition, linear in the size of out, in place of a
+big-integer multiplication.
 
 `count_digits` prints a count from its factors in exact decimal arithmetic,
 without building the int: the factors are shift-added into ints of about
@@ -23,6 +26,8 @@ in CPython 3.11: 3.6-4.1 ms for the 15,413 digits of the GF(16) count at
 ell=320, and 7-8 s for the 631k digits of the largest counts.  Printed from
 their factors they take about 2 ms and 0.3 s (2-core host, Python 3.11.7).
 A count past 2^_MAX_BITS is refused with ValueError before it is computed.
+`decimal_text` prints any other big int, or a Fraction, by the same
+Decimal joins from the int's own bits.
 """
 
 from __future__ import annotations
@@ -36,16 +41,6 @@ from math import factorial, inf, prod
 _MAX_BITS = 2**21
 
 
-def _check_even(ell: int) -> None:
-    if ell < 2 or ell % 2:
-        raise ValueError(f"length must be a positive even integer, got {ell}")
-
-
-def _check_mult8(ell: int) -> None:
-    if ell <= 0 or ell % 8:
-        raise ValueError(f"length must be a positive multiple of 8, got {ell}")
-
-
 #: the size of the int chunks that count_digits converts to Decimal: libmpdec
 #: multiplies by schoolbook below about 4,000 digits, by a transform above
 _CHUNK_BITS = 2000
@@ -57,14 +52,16 @@ def _factors(q: int, ell: int, containing: bool = False, type2: bool = False) ->
     """(exponents, start) of a count start * prod(2^a + 1 for a in exponents).
 
     The containing-word count drops the last factor, which is the count
-    ratio.
+    ratio (see `ratio`).
     """
     if q not in (2, 16) or type2 and q != 2:
         raise ValueError(f"no {'Type II ' if type2 else ''}count over GF({q})")
+    if type2 and (ell <= 0 or ell % 8):
+        raise ValueError(f"length must be a positive multiple of 8, got {ell}")
+    if ell < 2 or ell % 2:
+        raise ValueError(f"length must be a positive even integer, got {ell}")
     if type2:
-        _check_mult8(ell)
         return range(1, ell // 2 - 1 - containing), 2
-    _check_even(ell)
     if q == 16:
         return range(2, 2 * ell - 4 * containing, 4), 1
     if containing and ell < 4:
@@ -109,15 +106,26 @@ def _product(exponents: range, start: int = 1) -> int:
 
 
 def count(q: int, ell: int, containing: bool = False, type2: bool = False) -> int:
-    """A count as an int, chosen by q, containing and type2 as in
-    count_digits."""
+    """The number of self-dual codes of length ell over GF(q), q = 2 or 16
+    (Hermitian over GF(16)), as an int; with containing, of those that
+    contain a fixed admissible word, and with type2, of the doubly even
+    (Type II) binary ones."""
     return _product(*_factors(q, ell, containing, type2))
 
 
+def ratio(q: int, ell: int, type2: bool = False) -> int:
+    """count(q, ell, type2=type2) / count(q, ell, True, type2), exactly: the
+    factor 2^a + 1 of the count's last exponent a, which the containing-word
+    count drops.  It is 2^(ell/2-1)+1 binary, 2^(ell/2-2)+1 Type II and
+    2^(2*ell-2)+1 over GF(16); binary ell = 2 has no factors, a = 0 and the
+    ratio 2, though it has no containing-word count."""
+    r = _factors(q, ell, type2=type2)[0]
+    return 2 ** (r.start + (len(r) - 1) * r.step) + 1
+
+
 def count_digits(q: int, ell: int, containing: bool = False, type2: bool = False) -> str:
-    """The decimal string of a count: n_sd_binary, m_sd_binary, t_type2,
-    s_type2, n_sd_hermitian16 or m_sd_hermitian16, chosen by q, containing
-    and type2; it has no int-to-str digit limit."""
+    """The decimal string of a count, chosen by q, containing and type2 as
+    in count; it has no int-to-str digit limit."""
     parts = [decimal.Decimal(c) for c in _chunks(*_factors(q, ell, containing, type2), _CHUNK_BITS)]
     while len(parts) > 1:
         paired = [_EXACT.multiply(a, b) for a, b in zip(parts[::2], parts[1::2])]
@@ -125,58 +133,36 @@ def count_digits(q: int, ell: int, containing: bool = False, type2: bool = False
     return str(parts[0])
 
 
-def n_sd_binary(ell: int) -> int:
-    """Number of Euclidean self-dual binary codes of length ell."""
-    return count(2, ell)
+def decimal_text(value) -> str:
+    """str(value) for a nonnegative int or a Fraction ("num/den", or "num"
+    when den is 1), without the int-to-str digit limit.
+
+    An int of more than _CHUNK_BITS bits is cut into _CHUNK_BITS-bit limbs,
+    each limb converted to a Decimal, and neighbouring limbs joined as
+    hi * P + lo in the exact context, P = 2^_CHUNK_BITS squared once per
+    level.
+    """
+    if isinstance(value, Fraction):
+        num = decimal_text(value.numerator)
+        return num if value.denominator == 1 else f"{num}/{decimal_text(value.denominator)}"
+    if value.bit_length() <= _CHUNK_BITS:
+        return str(value)
+    size = _CHUNK_BITS // 8
+    raw = value.to_bytes(-(-value.bit_length() // _CHUNK_BITS) * size, "little")
+    parts = [decimal.Decimal(int.from_bytes(raw[i:i + size], "little")) for i in range(0, len(raw), size)]
+    power = decimal.Decimal(1 << _CHUNK_BITS)
+    while len(parts) > 1:
+        paired = [_EXACT.fma(hi, power, lo) for lo, hi in zip(parts[::2], parts[1::2])]
+        parts = paired + parts[len(paired) * 2:]
+        power = _EXACT.multiply(power, power)
+    return str(parts[0])
 
 
-def m_sd_binary(ell: int) -> int:
-    """Number of self-dual binary codes containing a fixed admissible word."""
-    return count(2, ell, containing=True)
-
-
-def t_type2(ell: int) -> int:
-    """Number of doubly even (Type II) self-dual binary codes."""
-    return count(2, ell, type2=True)
-
-
-def s_type2(ell: int) -> int:
-    """Number of Type II codes containing a fixed admissible word."""
-    return count(2, ell, containing=True, type2=True)
-
-
-def n_sd_hermitian16(ell: int) -> int:
-    """Number of Hermitian self-dual GF(16) codes of length ell."""
-    return count(16, ell)
-
-
-def m_sd_hermitian16(ell: int) -> int:
-    """Number of Hermitian self-dual GF(16) codes containing a fixed word."""
-    return count(16, ell, containing=True)
-
-
-def binary_ratio(ell: int) -> int:
-    """n_sd_binary/m_sd_binary = 2^(ell/2-1)+1, exactly."""
-    _check_even(ell)
-    return 2 ** (ell // 2 - 1) + 1
-
-
-def type2_ratio(ell: int) -> int:
-    """t_type2/s_type2 = 2^(ell/2-2)+1, exactly."""
-    _check_mult8(ell)
-    return 2 ** (ell // 2 - 2) + 1
-
-
-def hermitian16_ratio(ell: int) -> int:
-    """n_sd_hermitian16/m_sd_hermitian16 = 2^(2*ell-2)+1, exactly."""
-    _check_even(ell)
-    return 2 ** (2 * ell - 2) + 1
-
-
-def _literal(ell: int, containing: bool) -> Fraction:
-    """prod(2^a + 1) / D^k over the GF(16) count's factors but the first
-    (2^2 + 1), the printed denominator D = 12*5^ell*ell! taken once per
-    factor (k factors).
+def literal(ell: int, containing: bool = False) -> Fraction:
+    """The literal printed form of the GF(16) count (or, with containing,
+    of the containing-word count), a diagnostic only: prod(2^a + 1) / D^k
+    over the count's factors but the first (2^2 + 1), the printed
+    denominator D = 12*5^ell*ell! taken once per factor (k factors).
 
     D^k is refused past 2^_MAX_BITS by k*bit_length(D) before it is built;
     as D > 4^ell, a length with 2*ell*k past the limit is refused before D
@@ -188,13 +174,3 @@ def _literal(ell: int, containing: bool) -> Fraction:
     if not denom or k * denom.bit_length() > _MAX_BITS:
         raise ValueError(f"the literal form's denominator (12*5^ell*ell!)^{k} is past the 2^{_MAX_BITS} limit")
     return Fraction(_product(exponents), denom**k)
-
-
-def n_sd_hermitian16_literal(ell: int) -> Fraction:
-    """Literal printed form of the GF(16) count (diagnostic only)."""
-    return _literal(ell, containing=False)
-
-
-def m_sd_hermitian16_literal(ell: int) -> Fraction:
-    """Literal printed form of the containing-word GF(16) count (diagnostic)."""
-    return _literal(ell, containing=True)

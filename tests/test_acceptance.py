@@ -36,11 +36,11 @@ def test_criterion_1_census_matches_mass_formulas():
     start = time.monotonic()
     checks = []
     for n, want in [(2, 1), (4, 3), (6, 15), (8, 135)]:
-        checks.append(census.census(2, n)[0] == want == mass.n_sd_binary(n))
-    checks.append(census.census(2, 8, type2=True)[0] == 30 == mass.t_type2(8))
-    checks.append(census.census(2, 4, containing=(1, 1, 0, 0))[0] == 1 == mass.m_sd_binary(4))
+        checks.append(census.census(2, n)[0] == want == mass.count(2, n))
+    checks.append(census.census(2, 8, type2=True)[0] == 30 == mass.count(2, 8, type2=True))
+    checks.append(census.census(2, 4, containing=(1, 1, 0, 0))[0] == 1 == mass.count(2, 4, containing=True))
     for n, want in [(2, 5), (4, 325)]:
-        checks.append(census.census(16, n)[0] == want == mass.n_sd_hermitian16(n))
+        checks.append(census.census(16, n)[0] == want == mass.count(16, n))
     elapsed = time.monotonic() - start
     report(1, "census vs mass formulas", all(checks) and elapsed < 60)
 
@@ -48,9 +48,9 @@ def test_criterion_1_census_matches_mass_formulas():
 def test_criterion_2_ratio_anchors():
     ok = True
     for ell in range(4, 65, 2):
-        ok &= mass.n_sd_binary(ell) == (2 ** (ell // 2 - 1) + 1) * mass.m_sd_binary(ell)
+        ok &= mass.count(2, ell) == (2 ** (ell // 2 - 1) + 1) * mass.count(2, ell, containing=True)
     for ell in range(2, 65, 2):
-        ok &= mass.n_sd_hermitian16(ell) == (2 ** (2 * ell - 2) + 1) * mass.m_sd_hermitian16(ell)
+        ok &= mass.count(16, ell) == (2 ** (2 * ell - 2) + 1) * mass.count(16, ell, containing=True)
     report(2, "exact counting ratios, even lengths <= 64", ok)
 
 
@@ -107,8 +107,8 @@ def test_criterion_5_per_weight_bounds_sound():
 
 
 def test_criterion_6_literal_inequality_fidelity():
-    fail_case = bounds.theorem1_check(2, 2, bounds.LITERAL)
-    hold_case = bounds.theorem1_check(2, 1, bounds.LITERAL)
+    fail_case = bounds.check(2, 2, bounds.LITERAL)
+    hold_case = bounds.check(2, 1, bounds.LITERAL)
     ok = (fail_case.lhs, fail_case.rhs, fail_case.holds) == (16, 10, False)
     ok &= (hold_case.lhs, hold_case.rhs, hold_case.holds) == (6, 10, True)
     report(6, "literal inequality at ell=2 gives 16 !< 10 and 6 < 10", ok)
@@ -117,7 +117,7 @@ def test_criterion_6_literal_inequality_fidelity():
 def test_criterion_7_existence_witness():
     ok = True
     for ell, d in ((4, 2), (6, 2)):
-        assert bounds.theorem1_check(ell, d, bounds.EXACT).holds
+        assert bounds.check(ell, d, bounds.EXACT).holds
         rng = random.Random(ell)
         found = False
         tries = 0

@@ -64,6 +64,21 @@ def test_summary_verdicts_against_the_bound(parent, change, want):
 
 
 def test_metrics_and_directions_come_from_the_benchmark():
-    metrics = bench_pairs.end_to_end_metrics()
+    run_seconds, metrics = bench_pairs.read_benchmark()
+    assert run_seconds == 50
     assert metrics["ops_per_s"] == ("higher", 0.25) and metrics["op_p50_ms"] == ("lower", 0.25)
     assert metrics["peak_rss_mb"] == ("lower", 0.1)
+
+
+def test_runs_last_the_benchmark_length_by_default(monkeypatch, capsys):
+    # with no --seconds, every run lasts BENCHMARK.json's run_seconds
+    asked = []
+
+    def run_once(checkout, workload, seed, seconds):
+        asked.append((checkout, seed, seconds))
+        return result(100, 1.0)
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(["--parent", "p", "--change", "c", "--workload", "cli-mix", "--pairs", "2"]) == 0
+    assert asked == [("p", 1, 50), ("c", 1, 50), ("c", 2, 50), ("p", 2, 50)]
+    assert capsys.readouterr().out.endswith("runs with wrong outputs or failed ops: 0/4\n")

@@ -161,36 +161,36 @@ def test_exact_a2_summand_in_sound_domain():
 
 
 def test_theorem1_literal_examples():
-    rep = bounds.theorem1_check(2, 2, bounds.LITERAL)
+    rep = bounds.check(2, 2, bounds.LITERAL)
     assert (rep.lhs, rep.rhs, rep.holds) == (16, 10, False)
-    rep = bounds.theorem1_check(2, 1, bounds.LITERAL)
+    rep = bounds.check(2, 1, bounds.LITERAL)
     assert (rep.lhs, rep.rhs, rep.holds) == (6, 10, True)
 
 
 def test_theorem2_rhs():
-    rep = bounds.theorem2_check(8, 1, bounds.EXACT)
+    rep = bounds.check(8, 1, bounds.EXACT, type2=True)
     assert rep.rhs == (2**2 + 1) * (2**14 + 1) == 81925
 
 
 def test_check_validation():
     with pytest.raises(ValueError):
-        bounds.theorem1_check(3, 2, bounds.EXACT)
+        bounds.check(3, 2, bounds.EXACT)
     with pytest.raises(ValueError):
-        bounds.theorem1_check(2, 0, bounds.EXACT)
+        bounds.check(2, 0, bounds.EXACT)
     with pytest.raises(ValueError):
-        bounds.theorem1_check(2, 2, "fast")
+        bounds.check(2, 2, "fast")
     with pytest.raises(ValueError):
-        bounds.theorem2_check(4, 2, bounds.EXACT)
+        bounds.check(4, 2, bounds.EXACT, type2=True)
 
 
 def test_exact_mode_skips_odd_and_zero_weights():
     # lhs at d and d+1 coincide when d is odd under exact mode
     for ell in (2, 4, 8):
         for d in range(1, 12, 2):
-            a = bounds.theorem1_check(ell, d, bounds.EXACT)
-            b = bounds.theorem1_check(ell, d + 1, bounds.EXACT)
+            a = bounds.check(ell, d, bounds.EXACT)
+            b = bounds.check(ell, d + 1, bounds.EXACT)
             assert a.lhs == b.lhs
-    assert bounds.theorem1_check(2, 1, bounds.EXACT).lhs == 0
+    assert bounds.check(2, 1, bounds.EXACT).lhs == 0
 
 
 def test_max_distance_matches_frozen_oracle():
@@ -202,22 +202,20 @@ def test_max_distance_matches_frozen_oracle():
             d_star, rep = bounds.max_distance(ell, bounds.EXACT, type2=type2)
             assert d_star == want
             assert rep.holds and rep.d == d_star
-            worse = (bounds.theorem2_check if type2 else bounds.theorem1_check)(
-                ell, d_star + 1, bounds.EXACT
-            )
+            worse = bounds.check(ell, d_star + 1, bounds.EXACT, type2=type2)
             assert not worse.holds
 
 
 def test_bound_readers_agree():
-    # max_distance and theorem*_check read one left-hand side: the report at
+    # max_distance and check read one left-hand side: the report at
     # d* is the check's, and past the heaviest weight 5*ell no term is added
     with open(os.path.join(FIXTURES, "dstar_fixtures.json")) as f:
         fix = json.load(f)
     for ell in sorted({int(k) for table in fix.values() for k in table}):
         for mode in (bounds.LITERAL, bounds.EXACT):
-            for type2, check in ((False, bounds.theorem1_check), (True, bounds.theorem2_check)):
+            for type2 in (False, True):
                 d_star, rep = bounds.max_distance(ell, mode, type2=type2)
-                assert d_star and rep == check(ell, d_star, mode)
+                assert d_star and rep == bounds.check(ell, d_star, mode, type2=type2)
                 # at 5*ell + 1 every weight is summed: the binomial sums in
                 # closed form, over even e >= 2 only in EXACT mode
                 coef2, coef16, _ = bounds._coefficients(ell, mode, type2)
@@ -226,7 +224,7 @@ def test_bound_readers_agree():
                 else:
                     whole = 2 ** (5 * ell - 1) - 1 + coef2 * (16**ell - 1) + coef16 * (2 ** (ell - 1) - 1)
                 for d in (5 * ell + 1, 5 * ell + 2, 10 * ell, 10**9):
-                    assert check(ell, d, mode).lhs == whole
+                    assert bounds.check(ell, d, mode, type2=type2).lhs == whole
 
 
 def test_work_cap():
@@ -243,7 +241,7 @@ def test_work_cap():
     bounds._sides(10**6, bounds.EXACT, False, 858)
     with pytest.raises(ValueError, match="summing 859 weights at ell=1000000"):
         bounds._sides(10**6, bounds.EXACT, False, 859)
-    assert bounds.theorem1_check(10**6, 3, bounds.LITERAL).d == 3
+    assert bounds.check(10**6, 3, bounds.LITERAL).d == 3
     with pytest.raises(ValueError, match="past the limit"):
         bounds.max_distance(10**6, bounds.LITERAL, type2=True)
 

@@ -125,8 +125,8 @@ def test_mass_past_int_str_digit_limit(capsys):
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        want = str(mass.n_sd_hermitian16(320))
-        want_m = str(mass.m_sd_hermitian16(320))
+        want = str(mass.count(16, 320))
+        want_m = str(mass.count(16, 320, containing=True))
     finally:
         sys.set_int_max_str_digits(limit)
     assert len(want) == 15413
@@ -134,7 +134,7 @@ def test_mass_past_int_str_digit_limit(capsys):
     assert rc == 0 and out == want + "\n"
     rc, out, _ = run(capsys, "mass", "--q", "16", "--ell", "320", "--containing", "--json")
     assert rc == 0 and json.loads(out)["count"] == want_m
-    # the limit is lifted for the conversion only
+    # the process-wide limit is left as it was
     assert sys.get_int_max_str_digits() == limit
 
 
@@ -217,7 +217,7 @@ def test_bound(capsys):
 
 def test_bound_past_int_str_digit_limit(capsys):
     # the rhs at ell=8000 has over 6,000 digits, past the default limit of 4,300
-    rep = bounds.theorem1_check(8000, 3, "exact")
+    rep = bounds.check(8000, 3, "exact")
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -231,6 +231,28 @@ def test_bound_past_int_str_digit_limit(capsys):
     payload = json.loads(out)
     assert rc in (0, 1) and (payload["lhs"], payload["rhs"], payload["delta"]) == (lhs, rhs, delta)
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_big_numbers_print_without_the_digit_limit(capsys, monkeypatch):
+    # the texts are the str() of the numbers, but no command touches the
+    # process-wide int-to-str digit limit to print them
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        literal = str(mass.literal(320))
+        rep = bounds.check(8000, 3, "exact")
+        lhs, rhs = str(rep.lhs), str(rep.rhs)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+    def refuse(*args):
+        raise AssertionError("the int-to-str digit limit was changed")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+    rc, out, err = run(capsys, "mass", "--q", "16", "--ell", "320", "--literal-paper")
+    assert (rc, out, err) == (0, literal + "\n", "")
+    rc, out, err = run(capsys, "bound", "--ell", "8000", "--d", "3", "--mode", "exact")
+    assert (rc, out, err) == (0, f"lhs={lhs} rhs={rhs} holds=true\n", "")
 
 
 def test_maxdist(capsys):

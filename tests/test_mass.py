@@ -7,15 +7,15 @@ import pytest
 
 from sdgqc import mass
 
-#: (q, containing, type2) of each count, its int function and the largest
-#: length whose count is computed
+#: (q, containing, type2) of each count and the largest length whose count
+#: is computed
 KINDS = [
-    ((2, False, False), mass.n_sd_binary, 4096),
-    ((2, True, False), mass.m_sd_binary, 4098),
-    ((2, False, True), mass.t_type2, 4096),
-    ((2, True, True), mass.s_type2, 4096),
-    ((16, False, False), mass.n_sd_hermitian16, 2048),
-    ((16, True, False), mass.m_sd_hermitian16, 2050),
+    ((2, False, False), 4096),
+    ((2, True, False), 4098),
+    ((2, False, True), 4096),
+    ((2, True, True), 4096),
+    ((16, False, False), 2048),
+    ((16, True, False), 2050),
 ]
 
 
@@ -47,32 +47,32 @@ def _decimal_string(n: int) -> str:
 
 
 def test_binary_counts():
-    assert mass.n_sd_binary(2) == 1
-    assert mass.n_sd_binary(4) == 3
-    assert mass.n_sd_binary(6) == 15
-    assert mass.n_sd_binary(8) == 135
-    assert mass.n_sd_binary(10) == 2295
+    assert mass.count(2, 2) == 1
+    assert mass.count(2, 4) == 3
+    assert mass.count(2, 6) == 15
+    assert mass.count(2, 8) == 135
+    assert mass.count(2, 10) == 2295
 
 
 def test_binary_containing_counts():
-    assert mass.m_sd_binary(4) == 1
-    assert mass.m_sd_binary(6) == 3
-    assert mass.m_sd_binary(8) == 15
+    assert mass.count(2, 4, containing=True) == 1
+    assert mass.count(2, 6, containing=True) == 3
+    assert mass.count(2, 8, containing=True) == 15
 
 
 def test_type2_counts():
-    assert mass.t_type2(8) == 30
-    assert mass.t_type2(16) == 2 * 3 * 5 * 9 * 17 * 33 * 65
-    assert mass.s_type2(8) == 6
-    assert mass.s_type2(16) == 2 * 3 * 5 * 9 * 17 * 33
+    assert mass.count(2, 8, type2=True) == 30
+    assert mass.count(2, 16, type2=True) == 2 * 3 * 5 * 9 * 17 * 33 * 65
+    assert mass.count(2, 8, True, True) == 6
+    assert mass.count(2, 16, True, True) == 2 * 3 * 5 * 9 * 17 * 33
 
 
 def test_hermitian16_counts():
-    assert mass.n_sd_hermitian16(2) == 5
-    assert mass.n_sd_hermitian16(4) == 5 * 65
-    assert mass.n_sd_hermitian16(6) == 5 * 65 * 1025
-    assert mass.m_sd_hermitian16(2) == 1
-    assert mass.m_sd_hermitian16(4) == 5
+    assert mass.count(16, 2) == 5
+    assert mass.count(16, 4) == 5 * 65
+    assert mass.count(16, 6) == 5 * 65 * 1025
+    assert mass.count(16, 2, containing=True) == 1
+    assert mass.count(16, 4, containing=True) == 5
 
 
 
@@ -83,30 +83,28 @@ def test_products_match_factor_lists():
 
     for ell in range(2, 401, 2):
         h = ell // 2
-        assert mass.n_sd_binary(ell) == prod(factors(1, h))
-        assert mass.n_sd_hermitian16(ell) == prod(factors(0, h, 4, 2))
-        assert mass.m_sd_hermitian16(ell) == prod(factors(0, h - 1, 4, 2))
+        assert mass.count(2, ell) == prod(factors(1, h))
+        assert mass.count(16, ell) == prod(factors(0, h, 4, 2))
+        assert mass.count(16, ell, containing=True) == prod(factors(0, h - 1, 4, 2))
         if ell >= 4:
-            assert mass.m_sd_binary(ell) == prod(factors(1, h - 1))
+            assert mass.count(2, ell, containing=True) == prod(factors(1, h - 1))
         if ell % 8 == 0:
-            assert mass.t_type2(ell) == 2 * prod(factors(1, h - 1))
-            assert mass.s_type2(ell) == 2 * prod(factors(1, h - 2))
+            assert mass.count(2, ell, type2=True) == 2 * prod(factors(1, h - 1))
+            assert mass.count(2, ell, True, True) == 2 * prod(factors(1, h - 2))
 
 
 def test_count_and_its_exponent_match_every_kind():
-    # the keyed entry points against the six int functions: the same int,
-    # 2^E <= count, and the same lengths refused
-    for (q, containing, type2), count, _ in KINDS:
+    # count and count_exponent on every kind: 2^E <= count, and the same
+    # lengths refused with the same messages
+    for (q, containing, type2), _ in KINDS:
         for ell in range(-2, 401, 2):
             try:
-                want = count(ell)
+                want = mass.count(q, ell, containing=containing, type2=type2)
             except ValueError as e:
-                for keyed in (mass.count, mass.count_exponent):
-                    with pytest.raises(ValueError) as refused:
-                        keyed(q, ell, containing=containing, type2=type2)
-                    assert str(refused.value) == str(e)
+                with pytest.raises(ValueError) as refused:
+                    mass.count_exponent(q, ell, containing=containing, type2=type2)
+                assert str(refused.value) == str(e)
                 continue
-            assert mass.count(q, ell, containing=containing, type2=type2) == want
             assert 0 <= mass.count_exponent(q, ell, containing=containing, type2=type2) < want.bit_length()
     for q, type2 in ((4, False), (16, True)):
         for keyed in (mass.count, mass.count_exponent):
@@ -117,30 +115,30 @@ def test_count_and_its_exponent_match_every_kind():
 def test_counts_past_the_bit_limit_are_refused():
     # binary ell <= 4096 and GF(16) ell <= 2048 are computed; the next
     # lengths whose exponent sum passes 2^21 are refused
-    assert mass.n_sd_binary(4096).bit_length() == 2096130
-    assert mass.n_sd_hermitian16(2048).bit_length() == 2097153
+    assert mass.count(2, 4096).bit_length() == 2096130
+    assert mass.count(16, 2048).bit_length() == 2097153
     # the text path refuses them with the same message
-    for ((q, containing, type2), count, _), ell in zip(KINDS, (4098, 4100, 4104, 4104, 2050, 2052)):
+    for ((q, containing, type2), _), ell in zip(KINDS, (4098, 4100, 4104, 4104, 2050, 2052)):
         with pytest.raises(ValueError, match="limit") as refused:
-            count(ell)
+            mass.count(q, ell, containing=containing, type2=type2)
         with pytest.raises(ValueError) as refused_text:
             mass.count_digits(q, ell, containing=containing, type2=type2)
         assert str(refused_text.value) == str(refused.value)
     # the literal forms' denominators (12*5^ell*ell!)^k pass 2^21 bits first
     # here, by k*bit_length
-    for count, ell in ((mass.n_sd_hermitian16_literal, 642), (mass.m_sd_hermitian16_literal, 644)):
+    for containing, ell in ((False, 642), (True, 644)):
         with pytest.raises(ValueError, match="limit"):
-            count(ell)
+            mass.literal(ell, containing=containing)
 
 
 @pytest.mark.slow
 def test_count_digits_match_the_counts(no_digit_limit):
     # every kind at every length up to 400: the text is str() of the int,
     # and a length the int function refuses the text path refuses alike
-    for (q, containing, type2), count, _ in KINDS:
+    for (q, containing, type2), _ in KINDS:
         for ell in range(2, 401, 2):
             try:
-                want = str(count(ell))
+                want = str(mass.count(q, ell, containing=containing, type2=type2))
             except ValueError as e:
                 with pytest.raises(ValueError) as refused:
                     mass.count_digits(q, ell, containing=containing, type2=type2)
@@ -153,71 +151,100 @@ def test_count_digits_match_the_counts(no_digit_limit):
 
 
 def test_decimal_string_reference(no_digit_limit):
-    for n in (1, 2, 10**4000 - 1, 10**4000, mass.n_sd_hermitian16(320), mass.t_type2(400)):
+    for n in (1, 2, 10**4000 - 1, 10**4000, mass.count(16, 320), mass.count(2, 400, type2=True)):
         assert _decimal_string(n) == str(n)
+
+
+@pytest.mark.parametrize("n", [0, 2**2000 - 1, 2**2000, 2**4000 + 1, 10**4300],
+                         ids=["zero", "one-limb", "two-limbs", "three-limbs", "10^4300"])
+def test_decimal_text_of_ints(n):
+    # a single limb, the first two-limb int, an odd limb count and an int
+    # of 4,301 digits, past the default int-to-str limit
+    assert mass.decimal_text(n) == _decimal_string(n)
+
+
+def test_decimal_text_of_fractions():
+    for value in (Fraction(7), Fraction(3, 4), Fraction(2**4000 + 1, 3**3000), mass.literal(40)):
+        assert mass.decimal_text(value) == str(value)
 
 
 @pytest.mark.slow
 def test_count_digits_at_the_largest_lengths():
     # str() of a 631k-digit int takes about 7 s; _decimal_string is the
     # reference here instead
-    for (q, containing, type2), count, ell in KINDS:
+    for (q, containing, type2), ell in KINDS:
         text = mass.count_digits(q, ell, containing=containing, type2=type2)
-        assert text == _decimal_string(count(ell))
+        assert text == _decimal_string(mass.count(q, ell, containing=containing, type2=type2))
 
 
 def test_ratios_are_exact():
     for ell in range(4, 65, 2):
-        assert mass.n_sd_binary(ell) == mass.binary_ratio(ell) * mass.m_sd_binary(ell)
+        assert mass.count(2, ell) == mass.ratio(2, ell) * mass.count(2, ell, containing=True)
     for ell in range(2, 65, 2):
-        assert mass.n_sd_hermitian16(ell) == mass.hermitian16_ratio(ell) * mass.m_sd_hermitian16(
-            ell
-        )
+        assert mass.count(16, ell) == mass.ratio(16, ell) * mass.count(16, ell, containing=True)
     for ell in range(8, 65, 8):
-        assert mass.t_type2(ell) == mass.type2_ratio(ell) * mass.s_type2(ell)
+        assert mass.count(2, ell, type2=True) == mass.ratio(2, ell, type2=True) * mass.count(2, ell, True, True)
 
 
 def test_ratio_values():
-    assert mass.binary_ratio(4) == 3
-    assert mass.binary_ratio(8) == 9
-    assert mass.type2_ratio(8) == 5
-    assert mass.hermitian16_ratio(2) == 5
-    assert mass.hermitian16_ratio(4) == 65
+    assert mass.ratio(2, 4) == 3
+    assert mass.ratio(2, 8) == 9
+    assert mass.ratio(2, 8, type2=True) == 5
+    assert mass.ratio(16, 2) == 5
+    assert mass.ratio(16, 4) == 65
+    # binary ell = 2 has no factors and no containing-word count, but a
+    # ratio, 2^0 + 1
+    assert mass.ratio(2, 2) == 2
+
+
+@pytest.mark.parametrize("q, ell, type2, message", [
+    (2, 7, False, "length must be a positive even integer, got 7"),
+    (2, 12, True, "length must be a positive multiple of 8, got 12"),
+    (16, 4, True, "no Type II count over GF(16)"),
+], ids=["odd-length", "type2-length", "type2-gf16"])
+def test_ratio_refuses_what_the_count_refuses(q, ell, type2, message):
+    for keyed in (mass.ratio, mass.count):
+        with pytest.raises(ValueError) as refused:
+            keyed(q, ell, type2=type2)
+        assert str(refused.value) == message
 
 
 def test_domain_validation():
-    for fn in (mass.n_sd_binary, mass.n_sd_hermitian16, mass.binary_ratio):
-        with pytest.raises(ValueError):
-            fn(3)
-        with pytest.raises(ValueError):
-            fn(0)
+    for q in (2, 16):
+        for keyed in (mass.count, mass.ratio):
+            with pytest.raises(ValueError):
+                keyed(q, 3)
+            with pytest.raises(ValueError):
+                keyed(q, 0)
     with pytest.raises(ValueError):
-        mass.m_sd_binary(2)
-    for fn in (mass.t_type2, mass.s_type2, mass.type2_ratio):
+        mass.count(2, 2, containing=True)
+    for containing in (False, True):
         with pytest.raises(ValueError):
-            fn(4)
+            mass.count(2, 4, containing, True)
+    with pytest.raises(ValueError):
+        mass.ratio(2, 4, type2=True)
 
 
 def test_literal_diagnostic_forms_are_fractions():
     # the literal printed form is kept only as a diagnostic; it is not an
     # integer and disagrees with the census-backed count
-    v = mass.n_sd_hermitian16_literal(4)
+    v = mass.literal(4)
     assert isinstance(v, Fraction)
     assert v == Fraction(65, 12 * 5**4 * 24)
-    assert v != mass.n_sd_hermitian16(4)
-    assert mass.n_sd_hermitian16_literal(2) == 1  # empty product
-    assert mass.m_sd_hermitian16_literal(4) == 1
+    assert v != mass.count(16, 4)
+    assert mass.literal(2) == 1  # empty product
+    assert mass.literal(4, containing=True) == 1
     # the printed form factor by factor: (2^(4i+2)+1)/D for 1 <= i < ell/2
     for ell in (6, 40):
         denom = 12 * 5**ell * factorial(ell)
         factors = [Fraction(2 ** (4 * i + 2) + 1, denom) for i in range(1, ell // 2)]
-        assert mass.n_sd_hermitian16_literal(ell) == prod(factors)
-        assert mass.m_sd_hermitian16_literal(ell) == prod(factors[:-1])
+        assert mass.literal(ell) == prod(factors)
+        assert mass.literal(ell, containing=True) == prod(factors[:-1])
 
 
 def test_counts_grow_monotonically():
     prev = 0
     for ell in range(2, 41, 2):
-        cur = mass.n_sd_hermitian16(ell)
+        cur = mass.count(16, ell)
         assert cur > prev
         prev = cur
