@@ -1,5 +1,11 @@
 """Existence inequalities, per-weight word bounds, entropy asymptotics.
 
+Every fact about the quintic image that the bounds use comes from its one
+table in `constructions`, `_QUINTIC` = (field, block masks): the block
+count m = len(masks) (the code length is m*ell), the field size q (the
+GF(q) counting ratio is `mass.ratio(q, ell)`), and the per-coordinate
+cells `_QUINTIC_CELLS`, read off the table's own map.
+
 Two evaluation modes are provided for each existence inequality.  "literal"
 reproduces the printed inequality term for term, including its e=0 and odd-e
 summands and the coefficients 2^((ell-2)/2), 2^(2*ell-2).  "exact" is the
@@ -9,22 +15,24 @@ the exact counting ratios 2^(ell/2-1)+1 and 2^(2*ell-2)+1 of `mass` with
 all arithmetic in big integers.
 
 Both modes share the printed zero-binary-component summand
-C(ell, e/2)*15^(e/2), `a2_bound(ell, e, LITERAL)` (see `_summands`).  It is at
-least the true count of such words, the coefficient of z^e in
-(1 + 10z^2 + 5z^4)^ell, only for e <= 2*ell; every certified d* in tests/fixtures/dstar_fixtures.json
-(24 at ell=40, 46 at 80, 90 at 160, 178 at 320) lies in that range.
-`a2_bound` gives the exact count by default.
+C(ell, e/2)*(q-1)^(e/2), `a2_bound(ell, e, LITERAL)` (see `_summands`).  It
+is at least the true count of such words, the coefficient of z^e in
+(1 + 10z^2 + 5z^4)^ell, only for e <= 2*ell; every certified d* in
+tests/fixtures/dstar_fixtures.json (24 at ell=40, 46 at 80, 90 at 160, 178
+at 320) lies in that range.  `a2_bound` gives the exact count by default.
 
 `_sides` owns the inequality's two sides: the right-hand side, the
 product of the counting ratios, and the running left-hand side at
 d = 1, 2, ..., one big-integer sum over the weight-e summands for e < d.
 `check`, `max_distance` and `mode_discrepancies` only read it.  It also
 refuses, with ValueError and before any sum, a length whose work estimate
-(the weights summed times 5*ell bits) passes `_MAX_WORK`: the work grows
+(the weights summed times m*ell bits) passes `_MAX_WORK`: the work grows
 with the square of ell.
 
-`count_words_by_type` counts the quintic image's words of each type and
-weight exactly, at every block length, by character sums.
+`count_words_by_type` and the exact `a2_bound` count the quintic image's
+words of each type and weight exactly, at every block length, by character
+sums over the cells; `_power_coefficients` streams the coefficients of each
+character's polynomial power by J.C.P. Miller's recurrence.
 """
 
 from __future__ import annotations
@@ -35,11 +43,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
 from numbers import Rational
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator, List, Sequence
 
 from . import mass
-from .constructions import quintic_map
-from .fields import GF16
+from .constructions import _QUINTIC, _block_map
+
+_FIELD, _MASKS = _QUINTIC
+#: the block count: the image of ell coordinates has length _M * ell
+_M = len(_MASKS)
 
 LITERAL = "literal"
 EXACT = "exact"
@@ -83,10 +94,10 @@ def binom0(m: int, x) -> int:
 def a1_bound(ell: int, d: int) -> int:
     """Per-weight bound for words with both components nonzero.
 
-    Returns the unsubtracted C(5*ell, d): subtracting the other types'
+    Returns the unsubtracted C(m*ell, d): subtracting the other types'
     upper bounds would not be a sound upper bound.
     """
-    return math.comb(5 * ell, d)
+    return math.comb(_M * ell, d)
 
 
 def a2_bound(ell: int, d: int, mode: str = EXACT) -> int:
@@ -94,61 +105,77 @@ def a2_bound(ell: int, d: int, mode: str = EXACT) -> int:
 
     A nonzero GF(16) symbol expands to a binary block of weight 2 (10 of
     the 15 symbols) or weight 4 (the other 5).  EXACT returns the exact
-    count, the coefficient of z^d in (1 + 10z^2 + 5z^4)^ell.  LITERAL
-    returns the printed C(ell, d/2)*15^(d/2), which takes every symbol to
-    weight 2 and so falls below the true count once d > 2*ell.
+    count, the coefficient of z^d in (1 + 10z^2 + 5z^4)^ell, counted over
+    the x = 0 cells.  LITERAL returns the printed C(ell, d/2)*(q-1)^(d/2),
+    which takes every symbol to weight 2 and so falls below the true count
+    once d > 2*ell.
     """
     if mode not in (LITERAL, EXACT):
         raise ValueError(f"unknown mode {mode!r}")
-    if d % 2:
+    if d < 0 or d % 2:
         return 0
-    half = d // 2
     if mode == LITERAL:
-        return binom0(ell, half) * 15**half
-    # i blocks of weight 4 and half - 2*i blocks of weight 2
-    return sum(
-        math.comb(ell, i) * math.comb(ell - i, half - 2 * i) * 5**i * 10 ** (half - 2 * i)
-        for i in range(min(ell, half // 2) + 1)
-    )
+        return binom0(ell, d // 2) * (_FIELD.q - 1) ** (d // 2)
+    return _words_of_weight(_A2_CELLS, ell, d, False)
 
 
 def a3_bound(ell: int, d: int) -> int:
     """Per-weight bound for words with zero GF(16) component."""
-    return binom0(ell, Fraction(d, 5))
+    return binom0(ell, Fraction(d, _M))
 
 
 #: the quintic map's coordinate pairs (x, s), x in GF(2) and s in GF(16), as
-#: cells (x, s^5, weight of the pair's 5-bit block).  s^5 is zero only at
-#: s = 0.
+#: cells (x, Hermitian norm s*conj(s) = s^5, weight of the pair's 5-bit
+#: block).  The norm is zero only at s = 0.
 _QUINTIC_CELLS = tuple(
-    (x, GF16.pow(s, 5), sum(quintic_map((x,), (s,)))) for x in (0, 1) for s in range(16)
+    (x, _FIELD.mul(s, _FIELD.conjugate(s)), sum(_block_map(_QUINTIC, (x,), (s,))))
+    for x in (0, 1) for s in range(_FIELD.q)
 )
+#: the cells with zero binary part, and those with zero GF(16) part
+_A2_CELLS = tuple(c for c in _QUINTIC_CELLS if not c[0])
+_A3_CELLS = tuple(c for c in _QUINTIC_CELLS if not c[1])
+
+
+def _power_coefficients(p: Sequence[int], m: int) -> Iterator[int]:
+    """The coefficients of P(z)^m at z^0, z^1, ..., z^(m*deg P), for the
+    nonconstant integer polynomial P(z) = p[0] + p[1]*z + ... with p[0] = 1.
+
+    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): Q = P^m has
+    P*Q' = m*P'*Q, so k*q[k] = sum over i >= 1 of p[i]*(m*i - (k-i))*q[k-i],
+    and the division by k is exact.  The last deg P coefficients are the
+    whole state, and P's zero coefficients are skipped.
+    """
+    terms = [(i, c) for i, c in enumerate(p) if i and c]
+    deg = terms[-1][0]
+    past = deque([1], maxlen=deg)  # past[j] = q[k-1-j]
+    yield 1
+    for k in range(1, m * deg + 1):
+        qk = sum(c * ((m + 1) * i - k) * past[i - 1] for i, c in terms if i <= k) // k
+        past.appendleft(qk)
+        yield qk
 
 
 def _words_of_weight(cells, ell: int, d: int, restricted: bool) -> int:
-    """Number of words in cells^ell of weight d; with restricted, only
-    those whose x sum to 0 in GF(2) and whose s^5 sum to 0 in GF(16).
+    """Number of words in cells^ell of weight d >= 0; with restricted, only
+    those whose x sum to 0 in GF(2) and whose norms sum to 0 in GF(q).
 
-    That condition's indicator is the mean of the 32 characters
-    (-1)^(e*sum(x) + |a & sum(s^5)|), e < 2, a < 16 (|.| counts set
-    bits), and each character is
-    a product over the coordinates, so the count is the coefficient of z^d
-    in (1/32) sum_{e,a} P_{e,a}(z)^ell, where P_{e,a}(z) is the sum over
-    the cells of (-1)^(e*x + |a & s^5|) z^w; unrestricted, the trivial
-    character alone.  Each P is evaluated at z = 2^b (Kronecker
-    substitution): a summed coefficient is at most 32 times a count of fewer than
-    2^(5*ell) words, so with b = 5*ell + 5 the coefficients are the
-    base-2^b digits of the sum.  Characters equal on every cell give one P,
-    raised to the power once.
+    That condition's indicator is the mean of the 2q characters
+    (-1)^(e*sum(x) + |a & sum(norms)|), e < 2, a < q (|.| counts set
+    bits), and each character is a product over the coordinates, so the
+    count is the coefficient of z^d in (1/2q) sum_{e,a} P_{e,a}(z)^ell,
+    where P_{e,a}(z) is the sum over the cells of (-1)^(e*x + |a & n|) z^w;
+    unrestricted, the trivial character alone.  Every P has P(0) = 1: the
+    cell (0, 0, 0) is in every table, each character is +1 on it, and no
+    other cell has weight 0.  Characters equal on every cell give one P,
+    whose power is streamed once.
     """
-    chars = [(e, a) for e in (0, 1) for a in range(16)] if restricted else [(0, 0)]
-    b = 5 * ell + 5
+    chars = [(e, a) for e in (0, 1) for a in range(_FIELD.q)] if restricted else [(0, 0)]
     polys = Counter(
-        sum((-1) ** (e * x + (a & n).bit_count()) << b * w for x, n, w in cells)
+        tuple(sum((-1) ** (e * x + (a & n).bit_count()) for x, n, w in cells if w == j) for j in range(_M + 1))
         for e, a in chars
     )
-    total = sum(m * p**ell for p, m in polys.items())
-    return (total >> b * d) % (1 << b) // len(chars)
+    total = sum(k * next(islice(_power_coefficients(p, ell), d, None), 0) for p, k in polys.items())
+    return total // len(chars)
 
 
 def count_words_by_type(ell: int, d: int, restricted: bool = False):
@@ -157,24 +184,24 @@ def count_words_by_type(ell: int, d: int, restricted: bool = False):
     component, and with zero GF(16) component.
 
     With restricted=True only words with even-weight x and
-    Hermitian-isotropic s (the s_i^5 sum to 0) count.  The words over the
-    x = 0 cells and over the s = 0 cells give a2 and a3, and the rest of
-    all words give a1.  The map is one-to-one on each coordinate's 32
+    Hermitian-isotropic s (the norms s_i^5 sum to 0) count.  The words over
+    the x = 0 cells and over the s = 0 cells give a2 and a3, and the rest
+    of all words give a1.  The map is one-to-one on each coordinate's 2q
     pairs, so only the zero word weighs 0.
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
-    if not 0 < d <= 5 * ell:
+    if not 0 < d <= _M * ell:
         return 0, 0, 0
-    a2 = _words_of_weight([c for c in _QUINTIC_CELLS if not c[0]], ell, d, restricted)
-    a3 = _words_of_weight([c for c in _QUINTIC_CELLS if not c[1]], ell, d, restricted)
+    a2 = _words_of_weight(_A2_CELLS, ell, d, restricted)
+    a3 = _words_of_weight(_A3_CELLS, ell, d, restricted)
     return _words_of_weight(_QUINTIC_CELLS, ell, d, restricted) - a2 - a3, a2, a3
 
 
 def _coefficients(ell: int, mode: str, type2: bool):
     """(coef2, coef16, rhs): the counting ratios N/M of `mass`, binary (or
     Type II) and GF(16), less one each in LITERAL mode, and their product."""
-    ratios = (mass.ratio(2, ell, type2=type2), mass.ratio(16, ell))
+    ratios = (mass.ratio(2, ell, type2=type2), mass.ratio(_FIELD.q, ell))
     if mode not in (LITERAL, EXACT):
         raise ValueError(f"unknown mode {mode!r}")
     coef2, coef16 = (r - (mode == LITERAL) for r in ratios)
@@ -182,22 +209,24 @@ def _coefficients(ell: int, mode: str, type2: bool):
 
 
 def _summands(ell: int, mode: str, coef2: int, coef16: int) -> Iterator[int]:
-    """The weight-e summands of the left-hand side for e = 0, 1, ..., 5*ell:
-    C(5*ell, e) + coef2*C(ell, e/2)*15^(e/2) + coef16*C(ell, e/5), a term
-    with a fractional index counting 0, and in EXACT mode 0 at e = 0 and at
-    odd e.
+    """The weight-e summands of the left-hand side for e = 0, 1, ..., n,
+    with n = m*ell the code length: C(n, e) + coef2*C(ell, e/2)*(q-1)^(e/2)
+    + coef16*C(ell, e/m), a term with a fractional index counting 0, and in
+    EXACT mode 0 at e = 0 and at odd e.
 
     The A2 part is the printed `a2_bound(ell, e, LITERAL)` in both modes,
     not the exact `a2_bound(ell, e)`: it bounds the true count only for
-    e <= 2*ell.  C(5*ell, e), the printed C(ell, e/2)*15^(e/2) and
-    C(ell, e/5) are each stepped forward by their multiplicative
+    e <= 2*ell.  C(n, e), the printed C(ell, e/2)*(q-1)^(e/2) and
+    C(ell, e/m) are each stepped forward by their multiplicative
     recurrence rather than recomputed from scratch:
-    C(m, e+1) = C(m, e)*(m-e)/(e+1), exactly.
+    C(n, e+1) = C(n, e)*(n-e)/(e+1), exactly.  Inline recurrences keep
+    this hot loop faster than reading `_power_coefficients` streams.
     """
-    m = 5 * ell
+    blocks, units = _M, _FIELD.q - 1
+    n = blocks * ell
     skip = mode == EXACT  # the zero word and odd weights
-    a1 = a2 = a3 = 1  # C(m, e), C(ell, e/2)*15^(e/2), C(ell, e/5)
-    for e in range(m + 1):
+    a1 = a2 = a3 = 1  # C(n, e), C(ell, e/2)*(q-1)^(e/2), C(ell, e/m)
+    for e in range(n + 1):
         even = not e % 2
         if skip and (e == 0 or not even):
             yield 0
@@ -205,20 +234,20 @@ def _summands(ell: int, mode: str, coef2: int, coef16: int) -> Iterator[int]:
             t = a1
             if even:
                 t += coef2 * a2
-            if e % 5 == 0:
+            if e % blocks == 0:
                 t += coef16 * a3
             yield t
-        a1 = a1 * (m - e) // (e + 1)
+        a1 = a1 * (n - e) // (e + 1)
         if even:
             h = e // 2
-            a2 = a2 * 15 * (ell - h) // (h + 1)
-        if e % 5 == 0:
-            f = e // 5
+            a2 = a2 * units * (ell - h) // (h + 1)
+        if e % blocks == 0:
+            f = e // blocks
             a3 = a3 * (ell - f) // (f + 1)
 
 
 #: the most work _sides accepts, estimated as the weights summed times
-#: 5*ell bits: max_distance at ell = 13,106 (0.28 s on a 2-core host under
+#: m*ell bits: max_distance at ell = 13,106 (0.28 s on a 2-core host under
 #: Python 3.11) is the largest it accepts, and summing all 65,531 weights
 #: there takes 4.5 s
 _MAX_WORK = 2**32
@@ -226,14 +255,14 @@ _MAX_WORK = 2**32
 
 def _sides(ell: int, mode: str, type2: bool, last: int):
     """(rhs, running): the right-hand side, and an iterator over the
-    left-hand side at d = 1, 2, ..., min(last, 5*ell + 1), each the sum
-    of the `_summands` below weight d.  No word is heavier than 5*ell, so
-    the left-hand side at any larger d is the one at 5*ell + 1.  Refused
+    left-hand side at d = 1, 2, ..., min(last, m*ell + 1), each the sum
+    of the `_summands` below weight d.  No word is heavier than m*ell, so
+    the left-hand side at any larger d is the one at m*ell + 1.  Refused
     with ValueError, before any sum, when the work estimate passes
     _MAX_WORK."""
     coef2, coef16, rhs = _coefficients(ell, mode, type2)
-    weights = min(last, 5 * ell + 1)
-    if weights * 5 * ell > _MAX_WORK:
+    weights = min(last, _M * ell + 1)
+    if weights * _M * ell > _MAX_WORK:
         raise ValueError(f"summing {weights} weights at ell={ell} is past the limit of {_MAX_WORK} bit-steps")
     return rhs, islice(accumulate(_summands(ell, mode, coef2, coef16)), weights)
 
@@ -246,7 +275,7 @@ def check(ell: int, d: int, mode: str, type2: bool = False) -> BoundReport:
         raise ValueError("d must be >= 1")
     rhs, running = _sides(ell, mode, type2, d)
     lhs = deque(running, maxlen=1).pop()
-    return BoundReport(ell, d, mode, type2, lhs, rhs, lhs < rhs, Fraction(d, 5 * ell))
+    return BoundReport(ell, d, mode, type2, lhs, rhs, lhs < rhs, Fraction(d, _M * ell))
 
 
 def max_distance(ell: int, mode: str, type2: bool = False):
@@ -254,7 +283,7 @@ def max_distance(ell: int, mode: str, type2: bool = False):
 
     Returns (d_star, report_at_d_star).
     """
-    rhs, running = _sides(ell, mode, type2, 5 * ell + 1)
+    rhs, running = _sides(ell, mode, type2, _M * ell + 1)
     d_star = lhs = 0
     for d, total in enumerate(running, 1):
         if total >= rhs:
@@ -262,7 +291,7 @@ def max_distance(ell: int, mode: str, type2: bool = False):
         d_star, lhs = d, total
     if not d_star:
         return 0, None
-    return d_star, BoundReport(ell, d_star, mode, type2, lhs, rhs, True, Fraction(d_star, 5 * ell))
+    return d_star, BoundReport(ell, d_star, mode, type2, lhs, rhs, True, Fraction(d_star, _M * ell))
 
 
 def mode_discrepancies(max_ell: int = 64) -> List[tuple]:
@@ -270,8 +299,8 @@ def mode_discrepancies(max_ell: int = 64) -> List[tuple]:
     for even ell <= max_ell and 1 <= d <= 5*ell/2."""
     out = []
     for ell in range(2, max_ell + 1, 2):
-        lit_rhs, lit = _sides(ell, LITERAL, False, 5 * ell // 2)
-        ex_rhs, ex = _sides(ell, EXACT, False, 5 * ell // 2)
+        lit_rhs, lit = _sides(ell, LITERAL, False, _M * ell // 2)
+        ex_rhs, ex = _sides(ell, EXACT, False, _M * ell // 2)
         for d, (lit_lhs, ex_lhs) in enumerate(zip(lit, ex), 1):
             if (lit_lhs < lit_rhs) != (ex_lhs < ex_rhs):
                 out.append((ell, d))
@@ -333,6 +362,6 @@ def asymptote_table(construction: str, ells: Iterable[int], mode: str) -> List[A
     rows = []
     for ell in sorted(ells):
         d_star, _ = max_distance(ell, mode, type2=type2)
-        delta = d_star / (5 * ell)
+        delta = d_star / (_M * ell)
         rows.append(AsymptoteRow(ell, d_star, delta, mode))
     return rows

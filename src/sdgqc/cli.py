@@ -46,24 +46,18 @@ def _write_code(code: LinearCode, out) -> None:
 
 
 def cmd_construct(args) -> int:
-    if args.construction == "gqc" and args.interleave:
-        raise ValueError("--interleave does not apply to --construction gqc: its inputs are "
-                         "interleaved already")
-    c1 = _load_code(args.c1)
-    c2 = _load_code(args.c2)
-    if args.construction == "cubic":
-        out = constructions.cubic_code(c1, c2)
-        blocks = 3
-    elif args.construction == "quintic":
-        out = constructions.quintic_code(c1, c2)
-        blocks = 5
-    else:  # gqc: direct sum of two interleaved binary inputs
-        code, _profile = constructions.direct_sum_gqc(c1, c2)
+    if args.construction == "gqc":  # direct sum of two interleaved binary inputs
+        if args.interleave:
+            raise ValueError("--interleave does not apply to --construction gqc: its inputs are "
+                             "interleaved already")
+        code, _profile = constructions.direct_sum_gqc(_load_code(args.c1), _load_code(args.c2))
         _write_code(code, args.out)
         return 0
+    c1 = _load_code(args.c1)
+    build = constructions.cubic_code if args.construction == "cubic" else constructions.quintic_code
+    out = build(c1, _load_code(args.c2))
     if args.interleave:
-        ell = c1.n
-        rows = [constructions.interleave(r, ell, blocks) for r in out.rows]
+        rows = [constructions.interleave(r, c1.n, out.n // c1.n) for r in out.rows]
         out = LinearCode.from_rows(out.field, out.n, rows)
     _write_code(out, args.out)
     return 0

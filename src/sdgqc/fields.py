@@ -50,12 +50,7 @@ class Field:
         self.bits = q.bit_length() - 1  # bits per symbol: 1, 2 or 4
         # row a of the table is (c*a for c = 0..q-1): a's multiples at n=1
         self._mul = list(map(self.packed_ops(1).multiples, range(q)))
-        self._inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    self._inv[a] = b
-                    break
+        self._inv = [0] + [self.pow(a, q - 2) for a in range(1, q)]  # a^(q-1) = 1
 
     def packed_ops(self, n: int) -> PackedOps:
         """The primitives on packed vectors of length n (see PackedOps).
@@ -166,13 +161,10 @@ class Field:
         return self._inv[a]
 
     def conjugate(self, a: int) -> int:
-        """The involutive automorphism: a^2 over GF(4), a^4 over GF(16)."""
-        if self.q == 4:
-            return self._mul[a][a]
-        if self.q == 16:
-            sq = self._mul[a][a]
-            return self._mul[sq][sq]
-        raise ValueError("conjugation is only defined over GF(4) and GF(16)")
+        """The involutive automorphism a^sqrt(q): a^2 over GF(4), a^4 over GF(16)."""
+        if self.q == 2:
+            raise ValueError("conjugation is only defined over GF(4) and GF(16)")
+        return self.pow(a, 1 << self.bits // 2)
 
     def pow(self, a: int, e: int) -> int:
         r = 1

@@ -25,6 +25,33 @@ def _term(ell, e, mode, coef2, coef16):
     return t
 
 
+def _a2_closed_form(ell, d, mode):
+    """The reference for `a2_bound`: LITERAL the printed C(ell, d/2)*15^(d/2);
+    EXACT the coefficient of z^d in (1 + 10z^2 + 5z^4)^ell, summed over the
+    words with i blocks of weight 4 and d/2 - 2*i blocks of weight 2."""
+    if d < 0 or d % 2:
+        return 0
+    half = d // 2
+    if mode == bounds.LITERAL:
+        return bounds.binom0(ell, half) * 15**half
+    return sum(
+        math.comb(ell, i) * math.comb(ell - i, half - 2 * i) * 5**i * 10 ** (half - 2 * i)
+        for i in range(min(ell, half // 2) + 1)
+    )
+
+
+def _power_by_multiplication(p, m):
+    """The coefficients of P(z)^m by m schoolbook products."""
+    out = [1]
+    for _ in range(m):
+        prod = [0] * (len(out) + len(p) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(p):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
 def test_binom0():
     assert bounds.binom0(5, 2) == 10
     assert bounds.binom0(5, Fraction(2)) == 10
@@ -53,6 +80,24 @@ def test_per_weight_bounds():
     assert bounds.a3_bound(2, 5) == 2
     assert bounds.a3_bound(2, 10) == 1
     assert bounds.a3_bound(2, 3) == 0
+
+
+def test_a2_bound_matches_closed_form():
+    # the exact count is the x = 0 cells' coefficient stream; negative and
+    # odd weights, and weights past the heaviest such word, count 0
+    for ell in range(1, 13):
+        for d in range(-2, 4 * ell + 3):
+            for mode in (bounds.LITERAL, bounds.EXACT):
+                got = bounds.a2_bound(ell, d, mode)
+                assert type(got) is int and got == _a2_closed_form(ell, d, mode), (ell, d, mode)
+
+
+def test_power_coefficients_match_multiplication():
+    # Miller's recurrence against schoolbook products, with zero, negative
+    # and vanishing-at-1 coefficients; the stream ends at z^(m*deg P)
+    for p in ((1, 1), (1, 0, 15), (1, 0, 10, 0, 5), (1, -5, 10, -10, 5, -1), (1, 0, -2, 0, 1)):
+        for m in range(13):
+            assert list(bounds._power_coefficients(p, m)) == _power_by_multiplication(p, m), (p, m)
 
 
 def test_a1_and_a3_bounds_are_sound():
@@ -128,6 +173,15 @@ def test_count_words_by_type_identities():
         isotropic = 4 ** (2 * ell - 1) + (-1) ** ell * 3 * 4 ** (ell - 1)
         assert s_only == isotropic - 1
         assert total == 2 ** (ell - 1) * isotropic - 1
+
+
+def test_count_words_by_type_at_a_large_length():
+    # ell = 320, d = 100: each type count is one coefficient of a stream,
+    # far past the lengths brute force or the oracle fixture reach
+    a1, a2, a3 = bounds.count_words_by_type(320, 100)
+    assert (a2, a3) == (bounds.a2_bound(320, 100), bounds.a3_bound(320, 100))
+    assert a2 == _a2_closed_form(320, 100, bounds.EXACT)
+    assert a1 + a2 + a3 == math.comb(1600, 100)
 
 
 def test_count_words_by_type_has_no_budget():

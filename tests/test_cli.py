@@ -55,6 +55,19 @@ def test_construct_quintic_stdout(capsys, rep2, herm2):
     assert "n 10" in out
 
 
+def test_construct_interleaves_length_zero_inputs(capsys, tmp_path):
+    # the block count is the image's length over the input's, which is 0
+    # here; a code with no rows must not divide by it
+    paths = []
+    for q in (2, 16):
+        path = tmp_path / f"empty{q}.txt"
+        path.write_text(f"sdgqc-code v1\nq {q}\nn 0\nk 0\n")
+        paths.append(str(path))
+    rc, out, err = run(capsys, "construct", "--c1", paths[0], "--c2", paths[1],
+                       "--construction", "quintic", "--interleave")
+    assert (rc, out, err) == (0, "sdgqc-code v1\nq 2\nn 0\nk 0\n", "")
+
+
 def test_construct_missing_file(capsys, rep2):
     rc, out, err = run(capsys, "construct", "--c1", rep2, "--c2", "/nonexistent",
                        "--construction", "cubic")

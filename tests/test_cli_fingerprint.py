@@ -1,0 +1,36 @@
+import hashlib
+import importlib.util
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# the per-command fingerprint that two checkouts' CLI answers are diffed by
+_spec = importlib.util.spec_from_file_location("cli_fingerprint", os.path.join(ROOT, "scripts", "cli_fingerprint.py"))
+cli_fingerprint = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(cli_fingerprint)
+
+TMP = cli_fingerprint.TMP
+INPUTS = {"rep2.txt": "sdgqc-code v1\nq 2\nn 2\nk 1\n11\n"}
+COMMANDS = [
+    ["maxdist", "--ell", 40, "--mode", "exact"],
+    ["verify", "--code", f"{TMP}/rep2.txt", "--inner", "euclidean"],
+    ["mindist", "--code", f"{TMP}/missing.txt"],
+]
+
+
+def line(rc: int, out: str, err: str, argv: str) -> str:
+    digest = (hashlib.sha256(text.encode()).hexdigest() for text in (out, err))
+    return f"{rc} {' '.join(digest)} {argv}"
+
+
+def test_fingerprint_repeats_across_temporary_directories():
+    # each run writes its inputs to a new temporary directory; the path is
+    # masked in argv and in the outputs, so the two runs print the same lines
+    first = cli_fingerprint.fingerprint(COMMANDS, INPUTS)
+    assert first == cli_fingerprint.fingerprint(COMMANDS, INPUTS)
+    assert first == [
+        line(0, "24\n", "", "maxdist --ell 40 --mode exact"),
+        line(0, "self-dual: true\n", "", f"verify --code {TMP}/rep2.txt --inner euclidean"),
+        line(2, "", f"error: cannot read {TMP}/missing.txt: No such file or directory\n",
+             f"mindist --code {TMP}/missing.txt"),
+    ]
