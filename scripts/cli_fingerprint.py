@@ -6,7 +6,9 @@
 Each line is `rc sha256(stdout) sha256(stderr) argv`.  The commands run
 in-process through `sdgqc.cli.main`, in one temporary directory that holds
 their input files; its path reads `<tmp>` in argv, stdout and stderr, so
-two runs give the same lines whenever the CLI answers the same.  The
+two runs give the same lines whenever the CLI answers the same.  For a
+`census --list DIR` command the stdout hash also covers the files written
+to DIR: each name, in sorted order, and its bytes.  The
 commands are the `cli-mix` benchmark cycle of bench/workloads.py at seeds
 1-5, then the fixed list `FIXED`.  Run the script once with each
 checkout's src on PYTHONPATH and diff the two outputs: an empty diff means
@@ -61,6 +63,9 @@ FIXED = [
     ["census", "--q", 16, "--n", 4, "--type2"],
     ["census", "--q", 2, "--n", 12, "--type2"],
     ["census", "--q", 2, "--n", 14],
+    ["census", "--q", 2, "--n", 8, "--list", f"{TMP}/list-2-8"],
+    ["census", "--q", 2, "--n", 8, "--type2", "--list", f"{TMP}/list-2-8-type2"],
+    ["census", "--q", 16, "--n", 4, "--list", f"{TMP}/list-16-4"],
     *_BOUNDS,
     ["maxdist", "--ell", 7, "--mode", "exact", "--json"],
     ["maxdist", "--ell", 12, "--mode", "literal", "--type2"],
@@ -94,15 +99,29 @@ def cli_mix_commands() -> tuple:
     return commands, inputs
 
 
+def listed_files(directory: str) -> bytes:
+    """The files in directory, as each name in sorted order, a NUL, its
+    bytes and a NUL; nothing if there is no such directory."""
+    if not os.path.isdir(directory):
+        return b""
+    out = []
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as f:
+            out += [name.encode(), b"\0", f.read(), b"\0"]
+    return b"".join(out)
+
+
 def fingerprint(commands, inputs: dict) -> list:
     """One line per command: `rc sha256(stdout) sha256(stderr) argv`.  The
     commands run in-process, in order, in one fresh temporary directory
     that holds inputs ({name: text}); TMP in argv stands for that
-    directory, and its path reads TMP in stdout and stderr."""
+    directory, and its path reads TMP in stdout and stderr.  After a
+    command with `--list DIR`, listed_files(DIR) follows its stdout in
+    the hash."""
     import sdgqc.cli
 
-    def sha(text: str) -> str:
-        return hashlib.sha256(text.replace(tmp, TMP).encode()).hexdigest()
+    def sha(text: str, extra: bytes = b"") -> str:
+        return hashlib.sha256(text.replace(tmp, TMP).encode() + extra).hexdigest()
 
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -112,9 +131,11 @@ def fingerprint(commands, inputs: dict) -> list:
         for argv in commands:
             argv = [str(a) for a in argv]
             out, err = io.StringIO(), io.StringIO()
+            real = [a.replace(TMP, tmp) for a in argv]
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                rc = sdgqc.cli.main([a.replace(TMP, tmp) for a in argv])
-            lines.append(f"{rc} {sha(out.getvalue())} {sha(err.getvalue())} {' '.join(argv)}")
+                rc = sdgqc.cli.main(real)
+            listed = listed_files(real[real.index("--list") + 1]) if "--list" in real else b""
+            lines.append(f"{rc} {sha(out.getvalue(), listed)} {sha(err.getvalue())} {' '.join(argv)}")
     return lines
 
 

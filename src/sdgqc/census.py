@@ -1,10 +1,12 @@
 """Exhaustive enumeration and seeded random sampling of self-dual codes.
 
-The census is the ground-truth oracle for the counting formulas: it builds
+The census is the ground-truth oracle for the counting formulas: it counts
 every self-dual code of a given (small) length exactly once, by orderly
 generation (Read 1978; McKay 1998).  A search-tree node is a self-orthogonal
 code held as its packed RREF rows, and its parent is the code of its first
-k-1 rows, so each self-dual code is one leaf.  The sampler grows a
+k-1 rows, so each self-dual code is one leaf.  A listing builds every leaf;
+a count grows each distinct search state once and reuses its leaf count
+wherever the state recurs under another parent.  The sampler grows a
 random self-dual code one uniformly chosen isotropic vector at a time; the
 generator is Python's Mersenne Twister (random.Random), seeded with a
 64-bit integer, which is the repository's fixed reproducibility contract.
@@ -20,7 +22,7 @@ from typing import Optional, Sequence
 
 from . import mass
 from .fields import field_for
-from .codes import EnumerationBudgetExceeded, LinearCode, _insert, _meet, kernel_basis
+from .codes import EnumerationBudgetExceeded, LinearCode, _eliminate, _insert, _meet, _meet_row, kernel_basis
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +35,9 @@ from .codes import EnumerationBudgetExceeded, LinearCode, _insert, _meet, kernel
 _EXACT_BITS = 14_000
 #: the census refuses a length with more self-dual codes than this
 _CODE_LIMIT = 10**6
-#: the census stops after visiting this many search-tree nodes
+#: the census stops after visiting this many search-tree nodes; a state
+#: whose count is reused, and a dead end skipped before its elimination,
+#: is not a visit
 _STATE_LIMIT = 10**8
 
 
@@ -64,7 +68,7 @@ def census(
 
     field = field_for(q)
     ops = field.packed_ops(n)
-    support, multiples = ops.support, ops.multiples
+    support, multiples, pair = ops.support, ops.multiples, ops.pair
     # a row's own test: <v, v> == 0, or weight 0 mod 4 for Type II
     iso = (lambda pv: pv.bit_count() % 4 == 0) if type2 else ops.isotropic
     # a self-dual C lies in w^perp for each w in C, and every binary one
@@ -78,13 +82,19 @@ def census(
         if not iso(word.basis[0]):
             return 0, ([] if with_codes else None)
     found: list = []
-    count = nodes = 0
+    nodes = 0
     state_limit = _STATE_LIMIT  # a local, so grow reads a closure cell
     over = f"state budget {state_limit} exceeded"
+    # the count path's leaf count per child state; None on the listing path,
+    # which visits every node to list its leaves
+    memo: Optional[dict] = None if with_codes else {}
 
-    def grow(rows: tuple, dual: list, used: int, last: int) -> None:
-        # A child appends r = (dual row of pivot p) + any combination of the
-        # dual rows with later pivots, for p > last in a column no row uses.
+    def grow(rows: tuple, dual: list, used: int) -> int:
+        # Returns the number of leaves below this node.  dual holds the rows
+        # of the code's dual whose pivots come after the last row's pivot;
+        # no node reads an earlier one.  A child appends r = (dual row of
+        # pivot p) + any combination of the dual rows with later pivots, for
+        # p in a column no row uses, and gets the rows after p, met with r.
         # A dual row's pivot symbol is 1, so its lowest set bit marks p.
         # The child's later pivots must fall in the free pivot columns (no
         # row uses them) after p that r leaves zero.  The dual is in RREF,
@@ -94,41 +104,65 @@ def census(
         # are therefore held in layers by that count t; a free-pivot row
         # moves them from layer t to t+1, a used-pivot row extends every
         # layer, no layer is built past the largest slack (`cap`, at the
-        # first free row lo), and row p reads layers 0..slack only.  lo and
-        # cap come from one list of the free rows after `last`; cap < 0 is a
-        # dead end.  A child that completes the code (need == 0 here) is a
-        # leaf: it is counted, and listed, where it is found, in the order a
-        # visit would have reached it, without a call of its own.
-        nonlocal count, nodes
+        # first free row lo), and row p reads layers 0..slack only.  A child
+        # with t == slack whose eliminated row j (the last one r meets) has
+        # a free pivot that r leaves zero would have need - 1 free pivots
+        # for need rows: that dead end is skipped before the elimination, so
+        # only the root can find cap < 0.  A child that completes the code
+        # (need == 0 here) is a leaf: it is counted, and listed, where it is
+        # found, in the order a visit would have reached it, without a call
+        # of its own.  On the count path a child's leaf count depends only on
+        # its dual, the used columns from p on and its depth, so each such
+        # state is grown once, and a memo hit is not a visit.
+        nonlocal nodes
         nodes += 1
         if nodes > state_limit:
             raise EnumerationBudgetExceeded(over)
-        need = n // 2 - len(rows) - 1
-        free_rows = [i for i, d in enumerate(dual) if d & -d > last and not used & d & -d]
+        depth = len(rows) + 1
+        need = n // 2 - depth
+        free_rows = [i for i, d in enumerate(dual) if not used & d & -d]
         cap = len(free_rows) - 1 - need
         if cap < 0:
-            return
+            return 0
         lo = free_rows[0]
+        leaves = 0
         layers = [[0]]  # layers[t]: combinations with t nonzero free coefficients
         free = 0  # free pivots after row i
         for i in range(len(dual) - 1, lo - 1, -1):
             d = dual[i]
             p = d & -d
             if not used & p:
-                for layer in layers[:max(free - need + 1, 0)]:
+                slack = free - need
+                suffix = dual[i + 1:]
+                for t, layer in enumerate(layers[:max(slack + 1, 0)]):
                     for s in layer:
                         r = d ^ s
                         if not iso(r):
                             continue
-                        if need:
-                            grow(rows + (r,), _meet(field, ops, dual, r), used | support(r), p)
+                        if not need:
+                            nodes += 1
+                            if nodes > state_limit:
+                                raise EnumerationBudgetExceeded(over)
+                            leaves += 1
+                            if with_codes:
+                                found.append(rows + (r,))
                             continue
-                        nodes += 1
-                        if nodes > state_limit:
-                            raise EnumerationBudgetExceeded(over)
-                        count += 1
-                        if with_codes:
-                            found.append(rows + (r,))
+                        child_used = used | support(r)
+                        j, a = _meet_row(pair, suffix, r)
+                        if j < 0:
+                            child = suffix
+                        elif t == slack and not child_used & suffix[j] & -suffix[j]:
+                            continue
+                        else:
+                            child = _eliminate(field, ops, suffix, r, j, a)
+                        if memo is None:
+                            leaves += grow(rows + (r,), child, child_used)
+                            continue
+                        key = (tuple(child), child_used & -p, depth)
+                        got = memo.get(key)
+                        if got is None:
+                            got = memo[key] = grow(rows + (r,), child, child_used)
+                        leaves += got
                 free += 1
             if i > lo:
                 ms = multiples(d)[1:]
@@ -140,8 +174,9 @@ def census(
                         layers.append([])
                     for t in range(len(layers) - 1, 0, -1):
                         layers[t] += [s ^ m for m in ms for s in layers[t - 1]]
+        return leaves
 
-    grow((), kernel_basis(field, constraints, n), 0, 0)
+    count = grow((), kernel_basis(field, constraints, n), 0)
     if not with_codes:
         return count, None
     # sorted on the tuple view: packed-int order differs from it

@@ -75,30 +75,38 @@ def _insert(field: Field, multiples, rows: list, v: int) -> bool:
     return True
 
 
-def _meet(field: Field, ops, dual: list, w: int) -> list:
-    """span(dual) ∩ w^perp: of the rows not orthogonal to w, the last one is
-    eliminated from the others.  The scan runs from the last row to the
-    first row j not orthogonal to w; only the rows before j are paired with
-    w and updated, and the rows after j are copied as they are.  An echelon
-    basis stays one, in its order: by ascending first nonzero column
-    (RREF), or by descending last one.  A reduced one (pivot symbols 1,
-    every other row 0 in a pivot column) stays reduced, since the
-    eliminated row is 0 in the other pivot columns; the census's pruning
-    reads coefficients off pivot columns and relies on this.  One multiples
-    tuple of the eliminated row serves every row it updates."""
-    multiples, pair = ops.multiples, ops.pair
-    j = len(dual) - 1
-    while j >= 0:
+def _meet_row(pair, dual: Sequence[int], w: int) -> tuple:
+    """(j, a): the last row j of dual not orthogonal to w and a = <dual[j], w>,
+    or (-1, 0) if every row is orthogonal to w."""
+    for j in range(len(dual) - 1, -1, -1):
         a = pair(dual[j], w)
         if a:
-            break
-        j -= 1
-    else:
-        return dual
-    rj = multiples(multiples(dual[j])[field.inverse(a)])  # <rj[1], w> = 1
-    out = [row ^ rj[a] if (a := pair(row, w)) else row for row in dual[:j]]
+            return j, a
+    return -1, 0
+
+
+def _eliminate(field: Field, ops, dual: Sequence[int], w: int, j: int, a: int) -> list:
+    """span(dual) ∩ w^perp, given (j, a) = _meet_row(ops.pair, dual, w) with
+    j >= 0: row j is eliminated from the rows before it, and the rows after
+    it are copied as they are.  A row b = <row, w> short of orthogonal takes
+    (b/a) * dual[j], read off one multiples tuple of dual[j]."""
+    pair, mul, inv = ops.pair, field.mul, field.inverse(a)
+    mj = ops.multiples(dual[j])
+    out = [row ^ mj[mul(b, inv)] if (b := pair(row, w)) else row for row in dual[:j]]
     out += dual[j + 1:]
     return out
+
+
+def _meet(field: Field, ops, dual: list, w: int) -> list:
+    """span(dual) ∩ w^perp: of the rows not orthogonal to w, the last one is
+    eliminated from the others (_meet_row finds it, _eliminate removes it).
+    An echelon basis stays one, in its order: by ascending first nonzero
+    column (RREF), or by descending last one.  A reduced one (pivot symbols
+    1, every other row 0 in a pivot column) stays reduced, since the
+    eliminated row is 0 in the other pivot columns; the census's pruning
+    reads coefficients off pivot columns and relies on this."""
+    j, a = _meet_row(ops.pair, dual, w)
+    return _eliminate(field, ops, dual, w, j, a) if j >= 0 else dual
 
 
 def rref(field: Field, rows: Iterable[int], n: int) -> list:

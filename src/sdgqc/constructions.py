@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .fields import GF2, GF4, GF16, ALPHA
+from .fields import GF2, GF4, GF16
 from .codes import LinearCode
 
 _CUBIC = (GF4, (0b01, 0b10, 0b11))
@@ -83,24 +83,28 @@ def quintic_code(c1: LinearCode, c2: LinearCode) -> LinearCode:
 
 
 def crt_components(c: Sequence[int]) -> tuple:
-    """Split a 5-block binary word into its (GF(2), GF(16)) evaluations.
+    """Split a quintic-image binary word into its (GF(2), GF(16)) evaluations.
 
     Per coordinate position, evaluates the block polynomial c0 + c1*y + ...
-    + c4*y^4 at y=1 and y=A.  On quintic_map(x, s) this returns exactly
-    (x, (1+A)*s).
+    + c4*y^4 at y=1 and at y=A, the polynomial variable 0b10 of the table's
+    field.  A has order 5, the block count, because the field's modulus is
+    the 5th cyclotomic polynomial.  On quintic_map(x, s) this returns
+    exactly (x, (1+A)*s).
     """
+    field, masks = _QUINTIC
+    m = len(masks)
     c = _check_bits(c)
-    if len(c) % 5:
-        raise ValueError("length must be divisible by 5")
-    ell = len(c) // 5
-    apow = [GF16.pow(ALPHA, j) for j in range(5)]
+    if len(c) % m:
+        raise ValueError(f"length must be divisible by {m}")
+    ell = len(c) // m
+    apow = [field.pow(0b10, j) for j in range(m)]
     xs = []
     ss = []
     for i in range(ell):
-        bits = [c[j * ell + i] for j in range(5)]
-        xs.append(bits[0] ^ bits[1] ^ bits[2] ^ bits[3] ^ bits[4])
+        bits = [c[j * ell + i] for j in range(m)]
+        xs.append(sum(bits) & 1)
         acc = 0
-        for j in range(5):
+        for j in range(m):
             if bits[j]:
                 acc ^= apow[j]
         ss.append(acc)

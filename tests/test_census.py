@@ -16,7 +16,6 @@ def test_binary_census_matches_formula():
         assert count == mass.count(2, n)
 
 
-@pytest.mark.slow
 def test_binary_census_n12():
     # one length past the old census's reach
     assert census.census(2, 12)[0] == mass.count(2, 12) == 75735
@@ -100,7 +99,6 @@ def test_hermitian16_census_matches_formula():
         assert count == mass.count(16, n)
 
 
-@pytest.mark.slow
 def test_hermitian16_census_n6():
     assert census.census(16, 6)[0] == mass.count(16, 6) == 333125
 
@@ -168,19 +166,20 @@ def census_within(nodes, *args, **options):
 
 
 def test_census_state_limit():
-    # the search tree, pinned: one node per code at the leaves, plus the
-    # root and the inner self-orthogonal codes.  Pruning may skip dead
-    # candidates, never a visited node
-    for q, n, nodes, codes in [(2, 8, 686, 135), (16, 4, 501, 325), (2, 10, 16116, 2295)]:
+    # the visited search tree, pinned: the root, the inner self-orthogonal
+    # codes and the leaves that the count path reaches.  A dead end skipped
+    # before its elimination is not a visit, nor is a state whose leaf count
+    # the count path reuses from an earlier visit
+    for q, n, nodes, codes in [(2, 8, 148, 135), (16, 4, 101, 325), (2, 10, 1547, 2295)]:
         with pytest.raises(EnumerationBudgetExceeded, match="state budget"):
             census_within(nodes - 1, q, n)
         assert census_within(nodes, q, n)[0] == codes
 
 
 @pytest.mark.parametrize("q, n, options, nodes, codes", [
-    (2, 8, {"type2": True}, 188, 30),
-    (2, 8, {"containing": (1, 1, 0, 0, 0, 0, 0, 0)}, 108, 15),
-    (16, 4, {"containing": (1, 1, 1, 1)}, 14, 5),
+    (2, 8, {"type2": True}, 58, 30),
+    (2, 8, {"containing": (1, 1, 0, 0, 0, 0, 0, 0)}, 49, 15),
+    (16, 4, {"containing": (1, 1, 1, 1)}, 11, 5),
 ])
 def test_census_state_limit_restricted(q, n, options, nodes, codes):
     # the trees of the restricted censuses, pinned as above
@@ -190,11 +189,39 @@ def test_census_state_limit_restricted(q, n, options, nodes, codes):
 
 
 def test_census_state_limit_with_codes():
-    # every leaf is both counted and listed, within the same node budget
+    # a listing visits every node that is not a dead end, each leaf
+    # included, and both counts and lists every leaf
     with pytest.raises(EnumerationBudgetExceeded, match="state budget"):
-        census_within(685, 2, 8, with_codes=True)
-    count, codes = census_within(686, 2, 8, with_codes=True)
+        census_within(434, 2, 8, with_codes=True)
+    count, codes = census_within(435, 2, 8, with_codes=True)
     assert count == len(codes) == len(set(codes)) == 135
+
+
+def _seeded_words(n: int) -> list:
+    """20 nonzero even-weight binary words of length n, seeded by n."""
+    rng = random.Random(n)
+    words: list = []
+    while len(words) < 20:
+        head = tuple(rng.randrange(2) for _ in range(n - 1))
+        if any(head):
+            words.append(head + (sum(head) % 2,))
+    return words
+
+
+@pytest.mark.parametrize("q, n, options", [
+    *((2, n, {}) for n in (2, 4, 6, 8, 10)),
+    (2, 8, {"type2": True}),
+    (16, 2, {}),
+    (16, 4, {}),
+    (16, 4, {"containing": (1, 1, 1, 1)}),
+    *((2, n, {"containing": word}) for n in (8, 10) for word in _seeded_words(n)),
+])
+def test_census_count_matches_listing(q, n, options):
+    # the count path reuses the leaf count of a recurring state; the
+    # listing path visits every node and lists every leaf
+    count, _ = census.census(q, n, **options)
+    listed, codes = census.census(q, n, with_codes=True, **options)
+    assert count == listed == len(codes)
 
 
 def test_count_words_by_type_totals():

@@ -15,6 +15,7 @@ COMMANDS = [
     ["maxdist", "--ell", 40, "--mode", "exact"],
     ["verify", "--code", f"{TMP}/rep2.txt", "--inner", "euclidean"],
     ["mindist", "--code", f"{TMP}/missing.txt"],
+    ["census", "--q", 2, "--n", 2, "--list", f"{TMP}/list"],
 ]
 
 
@@ -33,4 +34,7 @@ def test_fingerprint_repeats_across_temporary_directories():
         line(0, "self-dual: true\n", "", f"verify --code {TMP}/rep2.txt --inner euclidean"),
         line(2, "", f"error: cannot read {TMP}/missing.txt: No such file or directory\n",
              f"mindist --code {TMP}/missing.txt"),
+        # the one code of length 2, its file following the count on stdout
+        line(0, "1\ncode_000000.txt\0" + INPUTS["rep2.txt"] + "\0", "",
+             f"census --q 2 --n 2 --list {TMP}/list"),
     ]
