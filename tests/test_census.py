@@ -208,6 +208,21 @@ def _seeded_words(n: int) -> list:
     return words
 
 
+@pytest.mark.parametrize("q, n, options, digest", [
+    (2, 8, {}, "6ed71cc4bed190008b63e6841931f369aea8379067f05abef476bf7386407c16"),
+    (2, 8, {"type2": True}, "c077655099210fc21f9ee9d6509f487c6bbc86d01384d1d442ff47f19c11b037"),
+    (2, 8, {"containing": (1, 1, 0, 0, 0, 0, 0, 0)},
+     "00c645362399abd97fbfe39a3d7d1e5c1294205352c8491d21d0fbc4f33625f6"),
+    (16, 4, {}, "08b1b77e42aab5d0abe1dd0e33c3c8684ab84493aff4b4391584f10357b3fec6"),
+    (2, 10, {}, "dae7733052aee202b3c4371ef9bd389dfedf930a8fdc5b1b81544b685aab8db7"),
+])
+def test_census_listings_frozen(q, n, options, digest):
+    # the sha256 of the joined dumps of each listing, frozen: the codes,
+    # their rows and their order are the listing's contract
+    _, codes = census.census(q, n, with_codes=True, **options)
+    assert hashlib.sha256("".join(c.dump() for c in codes).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("q, n, options", [
     *((2, n, {}) for n in (2, 4, 6, 8, 10)),
     (2, 8, {"type2": True}),
