@@ -66,6 +66,8 @@ FIXED = [
     ["census", "--q", 2, "--n", 8, "--list", f"{TMP}/list-2-8"],
     ["census", "--q", 2, "--n", 8, "--type2", "--list", f"{TMP}/list-2-8-type2"],
     ["census", "--q", 16, "--n", 4, "--list", f"{TMP}/list-16-4"],
+    ["census", "--q", 2, "--n", 8, "--containing", "11000000", "--list", f"{TMP}/list-2-8-containing"],
+    ["census", "--q", 2, "--n", 10, "--list", f"{TMP}/list-2-10"],
     *_BOUNDS,
     ["maxdist", "--ell", 7, "--mode", "exact", "--json"],
     ["maxdist", "--ell", 12, "--mode", "literal", "--type2"],

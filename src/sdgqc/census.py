@@ -4,9 +4,10 @@ The census is the ground-truth oracle for the counting formulas: it counts
 every self-dual code of a given (small) length exactly once, by orderly
 generation (Read 1978; McKay 1998).  A search-tree node is a self-orthogonal
 code held as its packed RREF rows, and its parent is the code of its first
-k-1 rows, so each self-dual code is one leaf.  A listing builds every leaf;
-a count grows each distinct search state once and reuses its leaf count
-wherever the state recurs under another parent.  The sampler grows a
+k-1 rows, so each self-dual code is one leaf.  The search grows each
+distinct search state once and reuses its leaves wherever the state recurs
+under another parent; a count adds them up, and a listing reads every leaf's
+rows back along the states' children.  The sampler grows a
 random self-dual code one uniformly chosen isotropic vector at a time; the
 generator is Python's Mersenne Twister (random.Random), seeded with a
 64-bit integer, which is the repository's fixed reproducibility contract.
@@ -81,20 +82,20 @@ def census(
         constraints += word.basis
         if not iso(word.basis[0]):
             return 0, ([] if with_codes else None)
-    found: list = []
     nodes = 0
     state_limit = _STATE_LIMIT  # a local, so grow reads a closure cell
     over = f"state budget {state_limit} exceeded"
-    # the count path's leaf count per child state; None on the listing path,
-    # which visits every node to list its leaves
-    memo: Optional[dict] = None if with_codes else {}
+    # each distinct child state's (leaves, kids), grown once
+    memo: dict = {}
 
-    def grow(rows: tuple, dual: list, used: int) -> int:
-        # Returns the number of leaves below this node.  dual holds the rows
-        # of the code's dual whose pivots come after the last row's pivot;
-        # no node reads an earlier one.  A child appends r = (dual row of
-        # pivot p) + any combination of the dual rows with later pivots, for
-        # p in a column no row uses, and gets the rows after p, met with r.
+    def grow(dual: list, used: int, depth: int) -> tuple:
+        # Returns (leaves, kids): the number of leaves below this node and,
+        # when listing, its children as (r, the child's kids), or (r, None)
+        # for a leaf; kids is None on a count.  dual holds the rows of the
+        # code's dual whose pivots come after the last row's pivot; no node
+        # reads an earlier one.  A child appends r = (dual row of pivot p) +
+        # any combination of the dual rows with later pivots, for p in a
+        # column no row uses, and gets the rows after p, met with r.
         # A dual row's pivot symbol is 1, so its lowest set bit marks p.
         # The child's later pivots must fall in the free pivot columns (no
         # row uses them) after p that r leaves zero.  The dual is in RREF,
@@ -109,21 +110,21 @@ def census(
         # a free pivot that r leaves zero would have need - 1 free pivots
         # for need rows: that dead end is skipped before the elimination, so
         # only the root can find cap < 0.  A child that completes the code
-        # (need == 0 here) is a leaf: it is counted, and listed, where it is
-        # found, in the order a visit would have reached it, without a call
-        # of its own.  On the count path a child's leaf count depends only on
-        # its dual, the used columns from p on and its depth, so each such
-        # state is grown once, and a memo hit is not a visit.
+        # (need == 0 here) is a leaf: it gets no call of its own, and the
+        # leaves are counted as visits once, after the loop.  A child's
+        # leaves depend only on its dual, the used columns from p on and its
+        # depth, so each such state is grown once, for a count and a listing
+        # alike, and a memo hit is not a visit.
         nonlocal nodes
         nodes += 1
         if nodes > state_limit:
             raise EnumerationBudgetExceeded(over)
-        depth = len(rows) + 1
         need = n // 2 - depth
         free_rows = [i for i, d in enumerate(dual) if not used & d & -d]
         cap = len(free_rows) - 1 - need
+        kids = [] if with_codes else None
         if cap < 0:
-            return 0
+            return 0, kids
         lo = free_rows[0]
         leaves = 0
         layers = [[0]]  # layers[t]: combinations with t nonzero free coefficients
@@ -139,30 +140,23 @@ def census(
                         r = d ^ s
                         if not iso(r):
                             continue
-                        if not need:
-                            nodes += 1
-                            if nodes > state_limit:
-                                raise EnumerationBudgetExceeded(over)
-                            leaves += 1
-                            if with_codes:
-                                found.append(rows + (r,))
-                            continue
-                        child_used = used | support(r)
-                        j, a = _meet_row(pair, suffix, r)
-                        if j < 0:
-                            child = suffix
-                        elif t == slack and not child_used & suffix[j] & -suffix[j]:
-                            continue
-                        else:
-                            child = _eliminate(field, ops, suffix, r, j, a)
-                        if memo is None:
-                            leaves += grow(rows + (r,), child, child_used)
-                            continue
-                        key = (tuple(child), child_used & -p, depth)
-                        got = memo.get(key)
-                        if got is None:
-                            got = memo[key] = grow(rows + (r,), child, child_used)
-                        leaves += got
+                        got = 1, None  # a leaf
+                        if need:
+                            child_used = used | support(r)
+                            j, a = _meet_row(pair, suffix, r)
+                            if j < 0:
+                                child = suffix
+                            elif t == slack and not child_used & suffix[j] & -suffix[j]:
+                                continue
+                            else:
+                                child = _eliminate(field, ops, suffix, r, j, a)
+                            key = (tuple(child), child_used & -p, depth)
+                            got = memo.get(key)
+                            if got is None:
+                                got = memo[key] = grow(child, child_used, depth + 1)
+                        leaves += got[0]
+                        if with_codes:
+                            kids.append((r, got[1]))
                 free += 1
             if i > lo:
                 ms = multiples(d)[1:]
@@ -174,13 +168,21 @@ def census(
                         layers.append([])
                     for t in range(len(layers) - 1, 0, -1):
                         layers[t] += [s ^ m for m in ms for s in layers[t - 1]]
-        return leaves
+        if not need:
+            nodes += leaves
+            if nodes > state_limit:
+                raise EnumerationBudgetExceeded(over)
+        return leaves, kids
 
-    count = grow((), kernel_basis(field, constraints, n), 0)
+    def expand(kids: list) -> list:
+        # the rows of every leaf below a node, read back along its kids
+        return [(r,) + rows for r, below in kids for rows in ([()] if below is None else expand(below))]
+
+    count, kids = grow(kernel_basis(field, constraints, n), 0, 1)
     if not with_codes:
         return count, None
     # sorted on the tuple view: packed-int order differs from it
-    codes = [LinearCode(field, n, rows) for rows in found]
+    codes = [LinearCode(field, n, rows) for rows in expand(kids)]
     return count, sorted(codes, key=lambda c: c.rows)
 
 

@@ -170,11 +170,12 @@ def direct_sum(a: LinearCode, b: LinearCode) -> LinearCode:
 def direct_sum_gqc(a: LinearCode, b: LinearCode) -> tuple:
     """Direct sum of an interleaved cubic code (length 3*ell) and an
     interleaved quintic code (length 5*ell); returns (code, profile) with
-    profile = (3,...,3,5,...,5)."""
+    profile = (3,...,3,5,...,5), the block counts of the two tables."""
     if a.field.q != 2 or b.field.q != 2:
         raise ValueError("binary codes expected")
-    if a.n % 3 or b.n % 5 or a.n // 3 != b.n // 5:
+    cubic, quintic = len(_CUBIC[1]), len(_QUINTIC[1])
+    if a.n % cubic or b.n % quintic or a.n // cubic != b.n // quintic:
         raise ValueError("lengths must be 3*ell and 5*ell for the same ell")
-    ell = a.n // 3
-    profile = (3,) * ell + (5,) * ell
+    ell = a.n // cubic
+    profile = (cubic,) * ell + (quintic,) * ell
     return direct_sum(a, b), profile

@@ -139,8 +139,9 @@ def decimal_text(value) -> str:
 
     An int of more than _CHUNK_BITS bits is cut into _CHUNK_BITS-bit limbs,
     each limb converted to a Decimal, and neighbouring limbs joined as
-    hi * P + lo in the exact context, P = 2^_CHUNK_BITS squared once per
-    level.
+    hi * P + lo in the exact context, P = 2^_CHUNK_BITS squared between
+    levels; the last level joins the two limbs left, so P is never squared
+    past the last join.
     """
     if isinstance(value, Fraction):
         num = decimal_text(value.numerator)
@@ -151,11 +152,11 @@ def decimal_text(value) -> str:
     raw = value.to_bytes(-(-value.bit_length() // _CHUNK_BITS) * size, "little")
     parts = [decimal.Decimal(int.from_bytes(raw[i:i + size], "little")) for i in range(0, len(raw), size)]
     power = decimal.Decimal(1 << _CHUNK_BITS)
-    while len(parts) > 1:
+    while len(parts) > 2:
         paired = [_EXACT.fma(hi, power, lo) for lo, hi in zip(parts[::2], parts[1::2])]
         parts = paired + parts[len(paired) * 2:]
         power = _EXACT.multiply(power, power)
-    return str(parts[0])
+    return str(_EXACT.fma(parts[1], power, parts[0]))
 
 
 def literal(ell: int, containing: bool = False) -> Fraction:

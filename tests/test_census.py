@@ -167,13 +167,17 @@ def census_within(nodes, *args, **options):
 
 def test_census_state_limit():
     # the visited search tree, pinned: the root, the inner self-orthogonal
-    # codes and the leaves that the count path reaches.  A dead end skipped
-    # before its elimination is not a visit, nor is a state whose leaf count
-    # the count path reuses from an earlier visit
+    # codes and the leaves.  A dead end skipped before its elimination is
+    # not a visit, nor is a state whose leaves are reused from an earlier
+    # visit; a listing visits what a count does, and lists every leaf
     for q, n, nodes, codes in [(2, 8, 148, 135), (16, 4, 101, 325), (2, 10, 1547, 2295)]:
-        with pytest.raises(EnumerationBudgetExceeded, match="state budget"):
-            census_within(nodes - 1, q, n)
-        assert census_within(nodes, q, n)[0] == codes
+        for with_codes in (False, True):
+            with pytest.raises(EnumerationBudgetExceeded, match="state budget"):
+                census_within(nodes - 1, q, n, with_codes=with_codes)
+            count, listed = census_within(nodes, q, n, with_codes=with_codes)
+            assert count == codes
+            if with_codes:
+                assert len(listed) == len(set(listed)) == codes
 
 
 @pytest.mark.parametrize("q, n, options, nodes, codes", [
@@ -186,15 +190,6 @@ def test_census_state_limit_restricted(q, n, options, nodes, codes):
     with pytest.raises(EnumerationBudgetExceeded, match="state budget"):
         census_within(nodes - 1, q, n, **options)
     assert census_within(nodes, q, n, **options)[0] == codes
-
-
-def test_census_state_limit_with_codes():
-    # a listing visits every node that is not a dead end, each leaf
-    # included, and both counts and lists every leaf
-    with pytest.raises(EnumerationBudgetExceeded, match="state budget"):
-        census_within(434, 2, 8, with_codes=True)
-    count, codes = census_within(435, 2, 8, with_codes=True)
-    assert count == len(codes) == len(set(codes)) == 135
 
 
 def _seeded_words(n: int) -> list:
@@ -232,8 +227,9 @@ def test_census_listings_frozen(q, n, options, digest):
     *((2, n, {"containing": word}) for n in (8, 10) for word in _seeded_words(n)),
 ])
 def test_census_count_matches_listing(q, n, options):
-    # the count path reuses the leaf count of a recurring state; the
-    # listing path visits every node and lists every leaf
+    # a count adds up the leaves of the search states and a listing reads
+    # them back along the states' kids: the two must agree in number, and
+    # test_census_listings_frozen pins what the listings hold
     count, _ = census.census(q, n, **options)
     listed, codes = census.census(q, n, with_codes=True, **options)
     assert count == listed == len(codes)
