@@ -165,19 +165,28 @@ def census_within(nodes, *args, **options):
         return census.census(*args, **options)
 
 
+STATE_TREES = [(2, 8, 148, 135), (16, 4, 101, 325), (2, 10, 1547, 2295)]
+
+
 def test_census_state_limit():
     # the visited search tree, pinned: the root, the inner self-orthogonal
     # codes and the leaves.  A dead end skipped before its elimination is
     # not a visit, nor is a state whose leaves are reused from an earlier
-    # visit; a listing visits what a count does, and lists every leaf
-    for q, n, nodes, codes in [(2, 8, 148, 135), (16, 4, 101, 325), (2, 10, 1547, 2295)]:
-        for with_codes in (False, True):
-            with pytest.raises(EnumerationBudgetExceeded, match="state budget"):
-                census_within(nodes - 1, q, n, with_codes=with_codes)
-            count, listed = census_within(nodes, q, n, with_codes=with_codes)
-            assert count == codes
-            if with_codes:
-                assert len(listed) == len(set(listed)) == codes
+    # visit
+    for q, n, nodes, codes in STATE_TREES:
+        with pytest.raises(EnumerationBudgetExceeded, match="state budget"):
+            census_within(nodes - 1, q, n)
+        assert census_within(nodes, q, n)[0] == codes
+
+
+def test_census_state_limit_with_codes():
+    # a listing visits the nodes a count does, and both counts and lists
+    # every leaf
+    for q, n, nodes, codes in STATE_TREES:
+        with pytest.raises(EnumerationBudgetExceeded, match="state budget"):
+            census_within(nodes - 1, q, n, with_codes=True)
+        count, listed = census_within(nodes, q, n, with_codes=True)
+        assert count == len(listed) == len(set(listed)) == codes
 
 
 @pytest.mark.parametrize("q, n, options, nodes, codes", [
