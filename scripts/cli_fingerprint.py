@@ -10,7 +10,8 @@ two runs give the same lines whenever the CLI answers the same.  For a
 `census --list DIR` command the stdout hash also covers the files written
 to DIR: each name, in sorted order, and its bytes.  The
 commands are the `cli-mix` benchmark cycle of bench/workloads.py at seeds
-1-5, then the fixed list `FIXED`.  Run the script once with each
+1-5, then the fixed list `FIXED`, which ends with `--help` at the top
+level and for each subcommand.  Run the script once with each
 checkout's src on PYTHONPATH and diff the two outputs: an empty diff means
 the CLI's exit codes, stdout and stderr are bit-identical on every command.
 Uses only the standard library; sdgqc comes from PYTHONPATH.
@@ -86,6 +87,10 @@ FIXED = [
     ["sample", "--q", 2, "--n", 8, "--seed", 7],
     ["sample", "--q", 4, "--n", 6, "--seed", 1],
     ["sample", "--q", 16, "--n", 4, "--seed", 3],
+    # usage text and choices: the top level's help, then each subcommand's
+    ["--help"],
+    *([name, "--help"] for name in ("construct", "verify", "mindist", "mass", "census", "sample", "bound", "maxdist",
+                                    "asymptote", "entropy", "selftest")),
 ]
 
 

@@ -38,12 +38,11 @@ character's polynomial power by J.C.P. Miller's recurrence.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
-from dataclasses import dataclass
+from collections import Counter, deque, namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import accumulate, islice
 from numbers import Rational
-from typing import Iterable, Iterator, List, Sequence
 
 from . import mass
 from .constructions import _QUINTIC, _block_map
@@ -56,24 +55,11 @@ LITERAL = "literal"
 EXACT = "exact"
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    ell: int
-    d: int
-    mode: str
-    type2: bool
-    lhs: int
-    rhs: int
-    holds: bool
-    delta: Fraction
-
-
-@dataclass(frozen=True)
-class AsymptoteRow:
-    ell: int
-    d_star: int
-    delta: float
-    mode: str
+#: one evaluated existence inequality: lhs < rhs is `holds`, and delta is
+#: d/(m*ell)
+BoundReport = namedtuple("BoundReport", "ell d mode type2 lhs rhs holds delta")
+#: one row of `asymptote_table`
+AsymptoteRow = namedtuple("AsymptoteRow", "ell d_star delta mode")
 
 
 def binom0(m: int, x) -> int:
@@ -216,16 +202,21 @@ def _summands(ell: int, mode: str, coef2: int, coef16: int) -> Iterator[int]:
 
     The A2 part is the printed `a2_bound(ell, e, LITERAL)` in both modes,
     not the exact `a2_bound(ell, e)`: it bounds the true count only for
-    e <= 2*ell.  C(n, e), the printed C(ell, e/2)*(q-1)^(e/2) and
-    C(ell, e/m) are each stepped forward by their multiplicative
-    recurrence rather than recomputed from scratch:
-    C(n, e+1) = C(n, e)*(n-e)/(e+1), exactly.  Inline recurrences keep
-    this hot loop faster than reading `_power_coefficients` streams.
+    e <= 2*ell.  C(n, e) and the two coefficient-weighted terms
+    coef2*C(ell, e/2)*(q-1)^(e/2) and coef16*C(ell, e/m) are each stepped
+    forward by their multiplicative recurrence rather than recomputed from
+    scratch: C(n, e+1) = C(n, e)*(n-e)/(e+1), exactly.  A weighted term
+    steps by the same ratio, and its division stays exact because
+    C(ell, h)*(ell-h)/(h+1) = C(ell, h+1) is an integer; carrying the
+    coefficient saves one big-integer product per weight.  Inline
+    recurrences keep this hot loop faster than reading
+    `_power_coefficients` streams.
     """
     blocks, units = _M, _FIELD.q - 1
     n = blocks * ell
     skip = mode == EXACT  # the zero word and odd weights
-    a1 = a2 = a3 = 1  # C(n, e), C(ell, e/2)*(q-1)^(e/2), C(ell, e/m)
+    # C(n, e), coef2*C(ell, e/2)*(q-1)^(e/2), coef16*C(ell, e/m)
+    a1, a2, a3 = 1, coef2, coef16
     for e in range(n + 1):
         even = not e % 2
         if skip and (e == 0 or not even):
@@ -233,9 +224,9 @@ def _summands(ell: int, mode: str, coef2: int, coef16: int) -> Iterator[int]:
         else:
             t = a1
             if even:
-                t += coef2 * a2
+                t += a2
             if e % blocks == 0:
-                t += coef16 * a3
+                t += a3
             yield t
         a1 = a1 * (n - e) // (e + 1)
         if even:
@@ -294,7 +285,7 @@ def max_distance(ell: int, mode: str, type2: bool = False):
     return d_star, BoundReport(ell, d_star, mode, type2, lhs, rhs, True, Fraction(d_star, _M * ell))
 
 
-def mode_discrepancies(max_ell: int = 64) -> List[tuple]:
+def mode_discrepancies(max_ell: int = 64) -> list[tuple]:
     """(ell, d) pairs where literal and exact disagree on `holds`,
     for even ell <= max_ell and 1 <= d <= 5*ell/2."""
     out = []
@@ -354,7 +345,7 @@ def ball_volume(q: int, n: int, r: int) -> int:
     return sum((q - 1) ** j * math.comb(n, j) for j in range(r + 1))
 
 
-def asymptote_table(construction: str, ells: Iterable[int], mode: str) -> List[AsymptoteRow]:
+def asymptote_table(construction: str, ells: Iterable[int], mode: str) -> list[AsymptoteRow]:
     """Certified relative distances delta*(ell) = d*(ell)/(5*ell)."""
     if construction not in ("quintic", "quintic_type2"):
         raise ValueError(f"unknown construction {construction!r}")

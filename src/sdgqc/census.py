@@ -19,7 +19,7 @@ one, throughout.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from . import mass
 from .fields import field_for
@@ -47,7 +47,7 @@ def census(
     n: int,
     *,
     type2: bool = False,
-    containing: Optional[Sequence[int]] = None,
+    containing: Sequence[int] | None = None,
     with_codes: bool = False,
 ):
     """Exact count (and optionally the list) of self-dual codes of length n.
@@ -181,9 +181,12 @@ def census(
     count, kids = grow(kernel_basis(field, constraints, n), 0, 1)
     if not with_codes:
         return count, None
-    # sorted on the tuple view: packed-int order differs from it
-    codes = [LinearCode(field, n, rows) for rows in expand(kids)]
-    return count, sorted(codes, key=lambda c: c.rows)
+    # sorted as the tuple view sorts, not by packed int: a row's n symbol
+    # digits (binary at q=2, hex at q=16, the census's only fields) read
+    # from symbol 0 on order as its tuple, with no rows unpacked
+    digits = f"0{n}{'b' if q == 2 else 'x'}"
+    listing = sorted(expand(kids), key=lambda rows: [format(r, digits)[::-1] for r in rows])
+    return count, [LinearCode(field, n, rows) for rows in listing]
 
 
 # ---------------------------------------------------------------------------

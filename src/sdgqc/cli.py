@@ -5,28 +5,27 @@ selftest check fails), 2 usage or input-format errors.  Diagnostics go to
 stderr, data to stdout.
 """
 
-from __future__ import annotations
-
 import argparse
-import json
-import math
 import os
 import sys
 from functools import lru_cache
 
-from . import bounds, census, codes, constructions, mass
-from .codes import EUCLIDEAN, HERMITIAN, LinearCode
-from .fields import field_for
+# Each handler imports the modules it uses, so that importing this module
+# and building the parser load no other module of the package.
 
 
 def _emit(args, payload: dict, human: str) -> None:
     if getattr(args, "json", False):
+        import json
+
         print(json.dumps(payload, sort_keys=True))
     else:
         print(human)
 
 
-def _load_code(path: str) -> LinearCode:
+def _load_code(path: str):
+    from . import codes
+
     try:
         return codes.load(path)
     except OSError as e:
@@ -35,7 +34,7 @@ def _load_code(path: str) -> LinearCode:
         raise ValueError(f"bad code file {path}: {e}")
 
 
-def _write_code(code: LinearCode, out) -> None:
+def _write_code(code, out) -> None:
     if out:
         code.save(out)
     else:
@@ -46,6 +45,9 @@ def _write_code(code: LinearCode, out) -> None:
 
 
 def cmd_construct(args) -> int:
+    from . import constructions
+    from .codes import LinearCode
+
     if args.construction == "gqc":  # direct sum of two interleaved binary inputs
         if args.interleave:
             raise ValueError("--interleave does not apply to --construction gqc: its inputs are "
@@ -86,6 +88,8 @@ def cmd_mindist(args) -> int:
 
 
 def cmd_mass(args) -> int:
+    from . import mass
+
     ell = args.ell
     if args.type2 and args.q != 2:
         raise ValueError("--type2 needs q=2")
@@ -101,6 +105,9 @@ def cmd_mass(args) -> int:
 
 
 def cmd_census(args) -> int:
+    from . import census, codes
+    from .fields import field_for
+
     containing = None
     if args.containing is not None:
         containing = codes.parse_symbols(field_for(args.q), args.containing)
@@ -117,12 +124,16 @@ def cmd_census(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from . import census
+
     code = census.sample_self_dual(args.q, args.n, args.seed)
     _write_code(code, args.out)
     return 0
 
 
 def cmd_bound(args) -> int:
+    from . import bounds, mass
+
     rep = bounds.check(args.ell, args.d, args.mode, type2=args.type2)
     payload = {
         "ell": rep.ell,
@@ -140,6 +151,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_maxdist(args) -> int:
+    from . import bounds
+
     d_star, rep = bounds.max_distance(args.ell, args.mode, type2=args.type2)
     payload = {"ell": args.ell, "mode": args.mode, "type2": args.type2, "d_star": d_star}
     if rep is not None:
@@ -149,6 +162,8 @@ def cmd_maxdist(args) -> int:
 
 
 def cmd_asymptote(args) -> int:
+    from . import bounds
+
     ells = [int(t) for t in args.ells.split(",") if t]
     if not ells:
         raise ValueError("--ells needs at least one block length")
@@ -160,6 +175,8 @@ def cmd_asymptote(args) -> int:
 
 
 def cmd_entropy(args) -> int:
+    from . import bounds
+
     if args.inverse:
         val = bounds.inverse_entropy(args.q, args.x)
     else:
@@ -169,6 +186,10 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    import math
+
+    from . import bounds, census, mass
+
     failures = []
 
     def check(name, ok):
@@ -223,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("verify", cmd_verify, help="check self-duality (and optionally Type II)")
     sp.add_argument("--code", required=True)
-    sp.add_argument("--inner", required=True, choices=[EUCLIDEAN, HERMITIAN])
+    sp.add_argument("--inner", required=True, choices=["euclidean", "hermitian"])
     sp.add_argument("--type2", action="store_true")
     sp.add_argument("--json", action="store_true")
 
@@ -256,20 +277,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("bound", cmd_bound, help="evaluate one existence inequality")
     sp.add_argument("--ell", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--mode", required=True, choices=[bounds.LITERAL, bounds.EXACT])
+    sp.add_argument("--mode", required=True, choices=["literal", "exact"])
     sp.add_argument("--type2", action="store_true")
     sp.add_argument("--json", action="store_true")
 
     sp = add("maxdist", cmd_maxdist, help="largest certified distance")
     sp.add_argument("--ell", type=int, required=True)
-    sp.add_argument("--mode", required=True, choices=[bounds.LITERAL, bounds.EXACT])
+    sp.add_argument("--mode", required=True, choices=["literal", "exact"])
     sp.add_argument("--type2", action="store_true")
     sp.add_argument("--json", action="store_true")
 
     sp = add("asymptote", cmd_asymptote, help="CSV table of certified relative distances")
     sp.add_argument("--construction", required=True, choices=["quintic", "quintic_type2"])
     sp.add_argument("--ells", required=True, help="comma-separated block lengths")
-    sp.add_argument("--mode", required=True, choices=[bounds.LITERAL, bounds.EXACT])
+    sp.add_argument("--mode", required=True, choices=["literal", "exact"])
 
     sp = add("entropy", cmd_entropy, help="q-ary entropy or its inverse")
     sp.add_argument("--q", type=int, required=True)
@@ -290,6 +311,14 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _refusals() -> tuple:
+    """The errors `main` reports with exit 2.  An except clause is evaluated
+    only when an exception reaches it, so `codes` is not imported before."""
+    from .codes import EnumerationBudgetExceeded
+
+    return ValueError, EnumerationBudgetExceeded
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -297,7 +326,7 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else 2
     try:
         return args.fn(args)
-    except (ValueError, codes.EnumerationBudgetExceeded) as e:
+    except _refusals() as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

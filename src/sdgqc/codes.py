@@ -13,7 +13,7 @@ Symbol tuples appear only at the boundary: `from_rows`, `contains`, the
 from __future__ import annotations
 
 from bisect import insort
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .fields import Field, GF2, field_for
 

@@ -12,7 +12,7 @@ which quasi-cyclicity becomes a simultaneous within-section shift.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .fields import GF2, GF4, GF16
 from .codes import LinearCode

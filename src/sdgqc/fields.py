@@ -16,7 +16,7 @@ Addition in all three fields is XOR of encodings.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 # Modulus polynomials, bit i = coefficient of x^i (top bit included).
 _MODULUS = {
@@ -26,18 +26,12 @@ _MODULUS = {
 }
 
 
-class PackedOps(NamedTuple):
-    """The primitives on packed vectors of one length, from Field.packed_ops."""
-
-    #: v -> (c*v for c = 0..q-1)
-    multiples: Callable[[int], tuple]
-    #: (u, v) -> the designated inner product: sum u_i*v_i over GF(2), the
-    #: Hermitian sum u_i*conj(v_i) over GF(4)/GF(16)
-    pair: Callable[[int, int], int]
-    #: v -> the low bit of every nonzero symbol slot of v
-    support: Callable[[int], int]
-    #: v -> pair(v, v) == 0
-    isotropic: Callable[[int], bool]
+#: The primitives on packed vectors of one length, from Field.packed_ops:
+#: multiples, v -> (c*v for c = 0..q-1); pair, (u, v) -> the designated
+#: inner product, sum u_i*v_i over GF(2), the Hermitian sum u_i*conj(v_i)
+#: over GF(4)/GF(16); support, v -> the low bit of every nonzero symbol
+#: slot of v; isotropic, v -> pair(v, v) == 0.
+PackedOps = namedtuple("PackedOps", "multiples pair support isotropic")
 
 
 class Field:

@@ -1,10 +1,11 @@
+import argparse
 import json
 import sys
 import time
 
 import pytest
 
-from sdgqc import bounds, cli, mass
+from sdgqc import bounds, cli, codes, mass
 from sdgqc.cli import main
 from sdgqc.codes import LinearCode, load
 from sdgqc.fields import GF2, GF16
@@ -390,3 +391,17 @@ def test_main_reuses_parser_without_leaking_state(capsys, rep2):
     assert [run(capsys, *argv)[:2] for argv in calls] == first
     assert cli._parser() is cli._parser()
     assert cli.build_parser() is not cli.build_parser()
+
+
+def test_parser_choices_match_the_library_vocabulary():
+    # the parser lists its choices as literals, so that building it loads no
+    # other module; they must stay the names the library takes
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    def choices(command, flag):
+        return tuple(next(a for a in commands[command]._actions if flag in a.option_strings).choices)
+
+    for command in ("bound", "maxdist", "asymptote"):
+        assert choices(command, "--mode") == (bounds.LITERAL, bounds.EXACT)
+    assert choices("verify", "--inner") == (codes.EUCLIDEAN, codes.HERMITIAN)
