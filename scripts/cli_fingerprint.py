@@ -11,7 +11,9 @@ two runs give the same lines whenever the CLI answers the same.  For a
 to DIR: each name, in sorted order, and its bytes.  The
 commands are the `cli-mix` benchmark cycle of bench/workloads.py at seeds
 1-5, then the fixed list `FIXED`, which ends with `--help` at the top
-level and for each subcommand.  Run the script once with each
+level and for each subcommand (argparse wraps help text at the terminal
+width, so run both checkouts at one width, or both redirected to files
+as the usage line above shows).  Run the script once with each
 checkout's src on PYTHONPATH and diff the two outputs: an empty diff means
 the CLI's exit codes, stdout and stderr are bit-identical on every command.
 Uses only the standard library; sdgqc comes from PYTHONPATH.
