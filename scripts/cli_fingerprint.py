@@ -89,6 +89,12 @@ FIXED = [
     ["sample", "--q", 2, "--n", 8, "--seed", 7],
     ["sample", "--q", 4, "--n", 6, "--seed", 1],
     ["sample", "--q", 16, "--n", 4, "--seed", 3],
+    # at these seeds the sampler rejects one isotropic draw inside the span
+    # so far, which only the last few rows of a code are at all likely to
+    # draw (chance about q^-2 on the last row)
+    ["sample", "--q", 2, "--n", 64, "--seed", 1],
+    ["sample", "--q", 4, "--n", 32, "--seed", 4],
+    ["sample", "--q", 16, "--n", 16, "--seed", 24],
     # usage text and choices: the top level's help, then each subcommand's
     ["--help"],
     *([name, "--help"] for name in ("construct", "verify", "mindist", "mass", "census", "sample", "bound", "maxdist",

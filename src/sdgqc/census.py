@@ -7,13 +7,16 @@ code held as its packed RREF rows, and its parent is the code of its first
 k-1 rows, so each self-dual code is one leaf.  The search grows each
 distinct search state once and reuses its leaves wherever the state recurs
 under another parent; a count adds them up, and a listing reads every leaf's
-rows back along the states' children.  The sampler grows a
-random self-dual code one uniformly chosen isotropic vector at a time; the
-generator is Python's Mersenne Twister (random.Random), seeded with a
-64-bit integer, which is the repository's fixed reproducibility contract.
+rows back along the states' children.  The sampler grows a random
+self-dual code one uniformly chosen isotropic vector at a time, rejecting
+a draw that no row of the current dual pairs nonzero with (one inside the
+span so far); the generator is Python's Mersenne Twister (random.Random),
+seeded with a 64-bit integer, which is the repository's fixed
+reproducibility contract.
 
 Binary codes use the Euclidean inner product, GF(4)/GF(16) the Hermitian
-one, throughout.
+one, throughout.  Both narrow a dual with `codes`' one elimination routine,
+the dual meet (`_meet_row` finds the row, `_eliminate` removes it).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from collections.abc import Sequence
 
 from . import mass
 from .fields import field_for
-from .codes import EnumerationBudgetExceeded, LinearCode, _eliminate, _insert, _meet, _meet_row, kernel_basis
+from .codes import EnumerationBudgetExceeded, LinearCode, _eliminate, _meet_row, kernel_basis
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +204,12 @@ def sample_self_dual(q: int, n: int, seed: int) -> LinearCode:
     """A uniformly random self-dual code, bit-exact reproducible per seed.
 
     Grows the code by repeatedly drawing a uniform element of the current
-    dual until it is isotropic and outside the current span.  A draw takes
+    dual until it is isotropic and outside the current span, and meets the
+    dual with it.  The dual is exactly span(rows)^perp, so a draw w lies
+    outside the span iff some dual row pairs nonzero with it, the row
+    `_meet_row` finds and `_eliminate` removes (the zero word meets none);
+    no list of rows is kept.  Once the code is self-dual its dual is the
+    code itself, and its RREF is read back as that dual's dual.  A draw takes
     one rng.randrange(q) per row of the dual's reduced echelon basis pivoted
     on each row's last nonzero column, in ascending pivot order; that basis
     is unique, so the draws are fixed by the seed.  random.Random seeds
@@ -214,12 +222,12 @@ def sample_self_dual(q: int, n: int, seed: int) -> LinearCode:
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     ops = field.packed_ops(n)
-    multiples, iso = ops.multiples, ops.isotropic
+    multiples, pair, iso = ops.multiples, ops.pair, ops.isotropic
     rng = random.Random(seed)
-    rows: list = []
-    # held last pivot first, the order in which _meet keeps it reduced
+    # the dual of the draws accepted so far, held last pivot first, the
+    # order in which _eliminate keeps it reduced
     dual = [1 << i * field.bits for i in reversed(range(n))]
-    while len(rows) < n // 2:
+    while len(dual) > n // 2:
         dual_multiples = [multiples(d) for d in reversed(dual)]
         for _ in range(_MAX_DRAWS):
             w = 0
@@ -227,10 +235,12 @@ def sample_self_dual(q: int, n: int, seed: int) -> LinearCode:
                 c = rng.randrange(q)
                 if c:
                     w ^= md[c]
-            if w and iso(w) and _insert(field, multiples, rows, w):
-                break
+            if iso(w):
+                j, a = _meet_row(pair, dual, w)
+                if j >= 0:
+                    break
         else:
             raise RuntimeError(f"sampler drew {_MAX_DRAWS} vectors without extending the code")
-        if len(rows) < n // 2:
-            dual = _meet(field, ops, dual, w)
-    return LinearCode(field, n, tuple(rows))
+        dual = _eliminate(field, ops, dual, w, j, a)
+    # self-dual: the last dual is the code itself
+    return LinearCode(field, n, tuple(kernel_basis(field, dual, n)))

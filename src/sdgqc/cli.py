@@ -36,7 +36,10 @@ def _load_code(path: str):
 
 def _write_code(code, out) -> None:
     if out:
-        code.save(out)
+        try:
+            code.save(out)
+        except OSError as e:
+            raise ValueError(f"cannot write {out}: {e.strerror}")
     else:
         sys.stdout.write(code.dump())
 
@@ -116,9 +119,12 @@ def cmd_census(args) -> int:
         args.q, args.n, type2=args.type2, containing=containing, with_codes=want_list
     )
     if want_list:
-        os.makedirs(args.list, exist_ok=True)
-        for i, code in enumerate(found):
-            code.save(os.path.join(args.list, f"code_{i:06d}.txt"))
+        try:
+            os.makedirs(args.list, exist_ok=True)
+            for i, code in enumerate(found):
+                code.save(os.path.join(args.list, f"code_{i:06d}.txt"))
+        except OSError as e:
+            raise ValueError(f"cannot write {e.filename or args.list}: {e.strerror}")
     _emit(args, {"q": args.q, "n": args.n, "count": str(count)}, str(count))
     return 0
 

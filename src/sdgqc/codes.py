@@ -8,11 +8,16 @@ column, is its lowest set bit.  `Field.packed_ops(n)` gives the primitives
 on them, and a scalar multiple c*v is read off as `multiples(v)[c]`.
 Symbol tuples appear only at the boundary: `from_rows`, `contains`, the
 `rows` view and the text format.
+
+There is one elimination routine: the dual meet, span(dual) ∩ w^perp
+(`_meet_row` finds the row to eliminate, `_eliminate` removes it), and
+`kernel_basis` meets the unit vectors with each row in turn.  The field's
+form is nondegenerate, so C = (C^perp)^perp: `rref` is the dual of the
+dual, and v lies in C iff no row of C's dual pairs nonzero with it.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from collections.abc import Iterable, Iterator, Sequence
 
 from .fields import Field, GF2, field_for
@@ -45,34 +50,6 @@ def pack(field: Field, v: Sequence[int]) -> int:
     for i, s in enumerate(v):
         acc |= s << (i * b)
     return acc
-
-
-def _reduce(field: Field, multiples, rows, v: int) -> int:
-    """Residue of packed v after elimination against packed RREF rows."""
-    m = field.q - 1
-    for r in rows:
-        c = v >> (r & -r).bit_length() - 1 & m  # v's symbol at r's pivot
-        if c:
-            v ^= multiples(r)[c]
-    return v
-
-
-def _insert(field: Field, multiples, rows: list, v: int) -> bool:
-    """Add packed v to the RREF rows in place, keeping them in pivot order;
-    False, with rows unchanged, if v lies in their span."""
-    v = _reduce(field, multiples, rows, v)
-    if not v:
-        return False
-    m = field.q - 1
-    t = (v & -v).bit_length() - 1
-    t -= t % field.bits  # the first bit of v's pivot slot
-    vs = multiples(multiples(v)[field.inverse(v >> t & m)])  # of v scaled to pivot symbol 1
-    for i, r in enumerate(rows):
-        c = r >> t & m
-        if c:
-            rows[i] = r ^ vs[c]
-    insort(rows, vs[1], key=lambda r: r & -r)
-    return True
 
 
 def _meet_row(pair, dual: Sequence[int], w: int) -> tuple:
@@ -110,12 +87,10 @@ def _meet(field: Field, ops, dual: list, w: int) -> list:
 
 
 def rref(field: Field, rows: Iterable[int], n: int) -> list:
-    """The reduced row-echelon basis of the span of packed rows, by pivot."""
-    multiples = field.packed_ops(n).multiples
-    basis: list = []
-    for v in rows:
-        _insert(field, multiples, basis, v)
-    return basis
+    """The reduced row-echelon basis of the span of packed rows, by pivot:
+    the dual of their dual, since C = (C^perp)^perp under the field's
+    nondegenerate form."""
+    return kernel_basis(field, kernel_basis(field, rows, n), n)
 
 
 def kernel_basis(field: Field, rows: Iterable[int], n: int) -> list:
@@ -182,8 +157,10 @@ class LinearCode:
             self.field.check(s)
         if len(v) != self.n:
             raise ValueError("length mismatch")
-        multiples = self.field.packed_ops(self.n).multiples
-        return not _reduce(self.field, multiples, self.basis, pack(self.field, v))
+        # v is in the code iff it is orthogonal to the code's dual
+        pair = self.field.packed_ops(self.n).pair
+        pv = pack(self.field, v)
+        return not any(pair(d, pv) for d in kernel_basis(self.field, self.basis, self.n))
 
     def dual(self, inner: str) -> "LinearCode":
         """Null space w.r.t. the chosen inner product."""

@@ -135,11 +135,21 @@ def deinterleave(v: Sequence[int], ell: int, m: int) -> tuple:
     return tuple(v[i * m + j] for j in range(m) for i in range(ell))
 
 
+def _check_profile(profile: Sequence[int], length: int, what: str) -> tuple:
+    """The profile as a tuple of section lengths, each at least 1, summing
+    to the length of the vector or code named by what."""
+    profile = tuple(profile)
+    if any(m < 1 for m in profile):
+        raise ValueError("profile sections must have length at least 1")
+    if length != sum(profile):
+        raise ValueError(f"profile does not match {what} length")
+    return profile
+
+
 def section_shift(v: Sequence[int], profile: Sequence[int]) -> tuple:
     """Simultaneously shift every section of the profile by one position."""
     v = tuple(v)
-    if len(v) != sum(profile):
-        raise ValueError("profile does not match vector length")
+    profile = _check_profile(profile, len(v), "vector")
     out = []
     pos = 0
     for m in profile:
@@ -150,11 +160,11 @@ def section_shift(v: Sequence[int], profile: Sequence[int]) -> tuple:
 
 
 def is_gqc_invariant(code: LinearCode, profile: Sequence[int]) -> bool:
-    """True iff the simultaneous section shift maps the code onto itself."""
-    profile = tuple(profile)
-    if code.n != sum(profile):
-        raise ValueError("profile does not match code length")
-    return all(code.contains(section_shift(row, profile)) for row in code.rows)
+    """True iff the simultaneous section shift maps the code onto itself:
+    the shift is a permutation, so iff the shifted rows span the code."""
+    profile = _check_profile(profile, code.n, "code")
+    shifted = [section_shift(row, profile) for row in code.rows]
+    return LinearCode.from_rows(code.field, code.n, shifted) == code
 
 
 def direct_sum(a: LinearCode, b: LinearCode) -> LinearCode:

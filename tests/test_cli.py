@@ -205,6 +205,33 @@ def test_sample(capsys, tmp_path):
     assert load(str(out1)).is_self_dual("euclidean")
 
 
+def _refused_write(capsys, *argv):
+    # exit 2 with one line on stderr, no traceback and nothing on stdout
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    return err
+
+
+def test_census_list_refuses_an_unwritable_directory(capsys, tmp_path):
+    blocker = tmp_path / "file.txt"
+    blocker.write_text("")
+    err = _refused_write(capsys, "census", "--q", "2", "--n", "2", "--list", str(blocker))
+    assert err == f"error: cannot write {blocker}: File exists\n"
+
+
+def test_sample_out_refuses_a_missing_directory(capsys, tmp_path):
+    missing = tmp_path / "missing" / "x.txt"
+    err = _refused_write(capsys, "sample", "--q", "2", "--n", "4", "--seed", "1", "--out", str(missing))
+    assert err == f"error: cannot write {missing}: No such file or directory\n"
+
+
+def test_construct_out_refuses_a_missing_directory(capsys, rep2, tmp_path):
+    missing = tmp_path / "missing" / "x.txt"
+    err = _refused_write(capsys, "construct", "--c1", rep2, "--c2", _gf4_rep(tmp_path),
+                         "--construction", "cubic", "--out", str(missing))
+    assert err == f"error: cannot write {missing}: No such file or directory\n"
+
+
 def test_sample_refuses_negative_seed(capsys, tmp_path):
     # Random(-7) would draw what Random(7) draws: one code for two seeds
     out = tmp_path / "neg.txt"

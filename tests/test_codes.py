@@ -10,8 +10,8 @@ from sdgqc.codes import (
     HERMITIAN,
     EnumerationBudgetExceeded,
     LinearCode,
-    _insert,
     _meet,
+    _meet_row,
     extended_hamming_code,
     kernel_basis,
     loads,
@@ -153,15 +153,62 @@ def test_enumeration_matches_coefficient_sums(q):
         m = q - 1
         assert all(code.contains(tuple(w >> i * f.bits & m for i in range(n))) for w in words)
         tally: dict = {}
+        span = set()
         for coeffs in itertools.product(range(q), repeat=code.k):
             word = [0] * n
             for c, row in zip(coeffs, code.rows):
                 word = [s ^ f.mul(c, r) for s, r in zip(word, row)]
+            span.add(tuple(word))
             w = sum(1 for s in word if s)
             tally[w] = tally.get(w, 0) + 1
         assert code.weight_tally() == tally
+        # and contains refuses the words the listing does not reach
+        outside = [v for v in (tuple(rng.randrange(q) for _ in range(n)) for _ in range(40)) if v not in span]
+        assert outside or code.k == n
+        assert not any(code.contains(v) for v in outside)
         if code.k:
             assert code.min_distance() == min(w for w in tally if w)
+
+
+def _gauss_jordan(field, rows, n):
+    # the textbook reduction over symbol tuples, through Field.mul and
+    # Field.inverse only: per column, bring a row with a nonzero symbol
+    # there up to the next pivot row, scale it to pivot symbol 1 and
+    # clear the column in every other row
+    rows = [list(r) for r in rows]
+    top = 0
+    for col in range(n):
+        pick = next((i for i in range(top, len(rows)) if rows[i][col]), None)
+        if pick is None:
+            continue
+        rows[top], rows[pick] = rows[pick], rows[top]
+        inv = field.inverse(rows[top][col])
+        rows[top] = [field.mul(inv, s) for s in rows[top]]
+        for i, row in enumerate(rows):
+            if i != top and row[col]:
+                rows[i] = [s ^ field.mul(row[col], t) for s, t in zip(row, rows[top])]
+        top += 1
+    return tuple(tuple(r) for r in rows[:top])
+
+
+@pytest.mark.parametrize("q", [2, 4, 16])
+def test_from_rows_matches_gauss_jordan(q):
+    # from_rows' RREF, the dual of the dual, against the reference on
+    # random spans with dependent and zero rows mixed in, down to n = 0
+    f = field_for(q)
+    rng = random.Random(q * 13)
+    for _ in range(150):
+        n = rng.randrange(0, 9)
+        rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(rng.randrange(0, 6))]
+        for _ in range(rng.randrange(0, 3)):  # combinations of the rows so far
+            combo = [0] * n
+            for row in rows:
+                c = rng.randrange(q)
+                combo = [s ^ f.mul(c, r) for s, r in zip(combo, row)]
+            rows.append(tuple(combo))
+        rows += [(0,) * n] * rng.randrange(0, 2)
+        rng.shuffle(rows)
+        assert LinearCode.from_rows(f, n, rows).rows == _gauss_jordan(f, rows, n), (n, rows)
 
 
 def test_enumeration_budget():
@@ -269,15 +316,16 @@ def test_meet_keeps_rref_reduced(q, n, constraints):
     assert all(_is_reduced(f, child) for child in children)
     rng = random.Random(q * 100 + n)
     for _ in range(200):
-        dual, rows = root, []
-        while len(rows) < len(dual):  # until rows span a self-dual code
+        dual = root
+        while n - len(dual) != len(dual):  # until the dual is self-dual
             r = 0
             for d in dual:
                 r ^= multiples(d)[rng.randrange(q)]
-            if r and pair(r, r) == 0 and _insert(f, multiples, rows, r):
+            # r extends the code iff it lies outside dual^perp
+            if pair(r, r) == 0 and _meet_row(pair, dual, r)[0] >= 0:
                 dual = _meet(f, ops, dual, r)
                 assert _is_reduced(f, dual)
-        assert len(rows) == n // 2
+        assert len(dual) == n // 2
 
 
 def _meet_all_rows(field, ops, dual, w):

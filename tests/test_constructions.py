@@ -17,6 +17,7 @@ from sdgqc.constructions import (
     is_gqc_invariant,
     quintic_code,
     quintic_map,
+    section_shift,
 )
 from sdgqc.fields import GF2, GF4, GF16, field_for
 
@@ -267,6 +268,21 @@ def test_gqc_invariance():
         rows = [interleave(r, ell, 3) for r in cc.rows]
         icc = LinearCode.from_rows(GF2, cc.n, rows)
         assert is_gqc_invariant(icc, (3,) * ell)
+
+
+def test_section_shift_refuses_empty_and_negative_sections():
+    assert section_shift(bits("101"), (1, 2)) == bits("110")
+    # (4, -1) sums to the length; (0, 3) would index an empty section
+    for v, profile in ((bits("101"), (0, 3)), (bits("101"), (4, -1)), (bits("1010"), (2, 0, 2))):
+        with pytest.raises(ValueError, match="at least 1"):
+            section_shift(v, profile)
+    code = LinearCode.from_rows(GF2, 3, [bits("111")])
+    for c in (code, LinearCode.zero(GF2, 3)):
+        for profile in ((0, 3), (4, -1)):
+            with pytest.raises(ValueError, match="at least 1"):
+                is_gqc_invariant(c, profile)
+    with pytest.raises(ValueError, match="code length"):
+        is_gqc_invariant(code, (1, 1))
 
 
 def _interleaved(code, ell, m):
