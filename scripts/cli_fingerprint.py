@@ -72,6 +72,9 @@ FIXED = [
     ["census", "--q", 2, "--n", 8, "--containing", "11000000", "--list", f"{TMP}/list-2-8-containing"],
     ["census", "--q", 2, "--n", 10, "--list", f"{TMP}/list-2-10"],
     *_BOUNDS,
+    # the GF(16) counting ratio 2^(2*ell-2) + 1 at exponents 2^21 - 2 and 2^21 + 2
+    ["bound", "--ell", 1048576, "--d", 3, "--mode", "exact"],
+    ["bound", "--ell", 1048578, "--d", 3, "--mode", "exact"],
     ["maxdist", "--ell", 7, "--mode", "exact", "--json"],
     ["maxdist", "--ell", 12, "--mode", "literal", "--type2"],
     ["maxdist", "--ell", 16, "--mode", "literal", "--type2"],

@@ -38,3 +38,14 @@ def test_fingerprint_repeats_across_temporary_directories():
         line(0, "1\ncode_000000.txt\0" + INPUTS["rep2.txt"] + "\0", "",
              f"census --q 2 --n 2 --list {TMP}/list"),
     ]
+
+
+def test_fingerprint_matches_the_frozen_lines():
+    # every command but the --help ones, whose text argparse wraps at the
+    # terminal width and words differently across Python versions; README
+    # "Tests" says how to regenerate the fixture after a deliberate change
+    commands, inputs = cli_fingerprint.cli_mix_commands()
+    fixed = [argv for argv in cli_fingerprint.FIXED if "--help" not in argv]
+    with open(os.path.join(ROOT, "tests", "fixtures", "cli_fingerprint.txt"), encoding="utf-8") as f:
+        frozen = f.read().splitlines()
+    assert cli_fingerprint.fingerprint(commands + fixed, {**inputs, **cli_fingerprint.INPUTS}) == frozen
