@@ -16,7 +16,7 @@ _SUBMODULES = ("fields", "codes", "constructions", "mass", "bounds", "census")
 #: each exported name -> the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys(
-        ("Field", "GF2", "GF4", "GF16", "ALPHA", "OMEGA", "field_for", "expand_binary", "compose_binary"),
+        ("Field", "GF2", "GF4", "GF16", "ALPHA", "OMEGA", "field_for"),
         "fields",
     ),
     **dict.fromkeys(

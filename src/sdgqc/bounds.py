@@ -42,7 +42,6 @@ from collections import Counter, deque, namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import accumulate, islice
-from numbers import Rational
 
 from . import mass
 from .constructions import _QUINTIC, _block_map
@@ -60,21 +59,6 @@ EXACT = "exact"
 BoundReport = namedtuple("BoundReport", "ell d mode type2 lhs rhs holds delta")
 #: one row of `asymptote_table`
 AsymptoteRow = namedtuple("AsymptoteRow", "ell d_star delta mode")
-
-
-def binom0(m: int, x) -> int:
-    """C(m, x) if x is an integer in [0, m], else 0."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if isinstance(x, Rational):
-        if x.denominator != 1:
-            return 0
-        x = int(x)
-    elif not isinstance(x, int):
-        raise TypeError("x must be an integer or a Fraction")
-    if x < 0 or x > m:
-        return 0
-    return math.comb(m, x)
 
 
 def a1_bound(ell: int, d: int) -> int:
@@ -101,13 +85,13 @@ def a2_bound(ell: int, d: int, mode: str = EXACT) -> int:
     if d < 0 or d % 2:
         return 0
     if mode == LITERAL:
-        return binom0(ell, d // 2) * (_FIELD.q - 1) ** (d // 2)
+        return math.comb(ell, d // 2) * (_FIELD.q - 1) ** (d // 2)
     return _words_of_weight(_A2_CELLS, ell, d, False)
 
 
 def a3_bound(ell: int, d: int) -> int:
     """Per-weight bound for words with zero GF(16) component."""
-    return binom0(ell, Fraction(d, _M))
+    return 0 if d < 0 or d % _M else math.comb(ell, d // _M)
 
 
 #: the quintic map's coordinate pairs (x, s), x in GF(2) and s in GF(16), as

@@ -214,7 +214,8 @@ def sample_self_dual(q: int, n: int, seed: int) -> LinearCode:
     on each row's last nonzero column, in ascending pivot order; that basis
     is unique, so the draws are fixed by the seed.  random.Random seeds
     from |seed|, so a negative seed would repeat its positive twin's code;
-    it is refused.
+    it is refused.  A row that _MAX_DRAWS draws do not extend raises
+    EnumerationBudgetExceeded.
     """
     field = field_for(q)
     if n < 2 or n % 2:
@@ -240,7 +241,7 @@ def sample_self_dual(q: int, n: int, seed: int) -> LinearCode:
                 if j >= 0:
                     break
         else:
-            raise RuntimeError(f"sampler drew {_MAX_DRAWS} vectors without extending the code")
+            raise EnumerationBudgetExceeded(f"sampler drew {_MAX_DRAWS} vectors without extending the code")
         dual = _eliminate(field, ops, dual, w, j, a)
     # self-dual: the last dual is the code itself
     return LinearCode(field, n, tuple(kernel_basis(field, dual, n)))

@@ -317,14 +317,6 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _refusals() -> tuple:
-    """The errors `main` reports with exit 2.  An except clause is evaluated
-    only when an exception reaches it, so `codes` is not imported before."""
-    from .codes import EnumerationBudgetExceeded
-
-    return ValueError, EnumerationBudgetExceeded
-
-
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -332,7 +324,7 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else 2
     try:
         return args.fn(args)
-    except _refusals() as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

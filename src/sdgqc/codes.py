@@ -31,8 +31,9 @@ DEFAULT_BUDGET = 2**24
 FORMAT_HEADER = "sdgqc-code v1"
 
 
-class EnumerationBudgetExceeded(Exception):
-    """Raised when an exhaustive enumeration would exceed its budget."""
+class EnumerationBudgetExceeded(ValueError):
+    """Raised when an exhaustive enumeration would exceed its budget: a
+    refusal, and so a ValueError like every other one."""
 
 
 def check_inner(field: Field, inner: str) -> None:

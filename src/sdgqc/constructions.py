@@ -129,10 +129,9 @@ def interleave(v: Sequence[int], ell: int, m: int) -> tuple:
 
 
 def deinterleave(v: Sequence[int], ell: int, m: int) -> tuple:
-    v = tuple(v)
-    if len(v) != ell * m:
-        raise ValueError("length must equal ell*m")
-    return tuple(v[i * m + j] for j in range(m) for i in range(ell))
+    """ell sections of length m -> m blocks of length ell: the transpose,
+    and so the inverse, of interleave."""
+    return interleave(v, m, ell)
 
 
 def _check_profile(profile: Sequence[int], length: int, what: str) -> tuple:

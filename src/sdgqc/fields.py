@@ -190,15 +190,3 @@ def field_for(q: int) -> Field:
         return _BY_Q[q]
     except KeyError:
         raise ValueError(f"unsupported field size {q}") from None
-
-
-def expand_binary(a: int) -> tuple[int, int, int, int]:
-    """GF(16) element -> its four basis coefficients (a0, a1, a2, a3)."""
-    GF16.check(a)
-    return (a & 1, a >> 1 & 1, a >> 2 & 1, a >> 3 & 1)
-
-
-def compose_binary(bits) -> int:
-    """Inverse of expand_binary."""
-    a0, a1, a2, a3 = bits
-    return GF16.check(a0 | a1 << 1 | a2 << 2 | a3 << 3)

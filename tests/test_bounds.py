@@ -1,7 +1,6 @@
 import json
 import math
 import os
-from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -21,7 +20,7 @@ def _term(ell, e, mode, coef2, coef16):
         return 0
     t = math.comb(5 * ell, e) + coef2 * bounds.a2_bound(ell, e, bounds.LITERAL)
     if e % 5 == 0:
-        t += coef16 * bounds.binom0(ell, e // 5)
+        t += coef16 * math.comb(ell, e // 5)
     return t
 
 
@@ -33,7 +32,7 @@ def _a2_closed_form(ell, d, mode):
         return 0
     half = d // 2
     if mode == bounds.LITERAL:
-        return bounds.binom0(ell, half) * 15**half
+        return math.comb(ell, half) * 15**half
     return sum(
         math.comb(ell, i) * math.comb(ell - i, half - 2 * i) * 5**i * 10 ** (half - 2 * i)
         for i in range(min(ell, half // 2) + 1)
@@ -50,18 +49,6 @@ def _power_by_multiplication(p, m):
                 prod[i + j] += a * b
         out = prod
     return out
-
-
-def test_binom0():
-    assert bounds.binom0(5, 2) == 10
-    assert bounds.binom0(5, Fraction(2)) == 10
-    assert bounds.binom0(5, Fraction(1, 2)) == 0
-    assert bounds.binom0(5, -1) == 0
-    assert bounds.binom0(5, 6) == 0
-    with pytest.raises(ValueError):
-        bounds.binom0(-1, 0)
-    with pytest.raises(TypeError):
-        bounds.binom0(5, 1.5)
 
 
 def test_per_weight_bounds():

@@ -321,6 +321,13 @@ def test_sampler_rejects_bad_length():
         census.sample_self_dual(2, 3, 0)
 
 
+def test_sampler_draw_budget(monkeypatch):
+    # a row that finds no extension within _MAX_DRAWS draws is refused
+    monkeypatch.setattr(census, "_MAX_DRAWS", 0)
+    with pytest.raises(EnumerationBudgetExceeded, match="^sampler drew 0 vectors without extending the code$"):
+        census.sample_self_dual(2, 4, 1)
+
+
 def test_sampler_rejects_negative_seed():
     # random.Random seeds from |seed|: -7 would repeat seed 7's code
     for q in (2, 4, 16):

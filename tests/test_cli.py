@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from sdgqc import bounds, cli, codes, mass
+from sdgqc import bounds, census, cli, codes, mass
 from sdgqc.cli import main
 from sdgqc.codes import LinearCode, load
 from sdgqc.fields import GF2, GF16
@@ -239,6 +239,13 @@ def test_sample_refuses_negative_seed(capsys, tmp_path):
                           "--out", str(out))
     assert rc == 2 and stdout == "" and not out.exists()
     assert err == "error: seed must be nonnegative, got -7\n"
+
+
+def test_sample_draw_budget_is_refused(capsys, monkeypatch):
+    monkeypatch.setattr(census, "_MAX_DRAWS", 0)
+    rc, out, err = run(capsys, "sample", "--q", "2", "--n", "4", "--seed", "1")
+    assert rc == 2 and out == ""
+    assert err == "error: sampler drew 0 vectors without extending the code\n"
 
 
 def test_bound(capsys):

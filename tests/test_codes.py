@@ -216,6 +216,8 @@ def test_enumeration_budget():
     big = LinearCode.from_rows(GF2, 30, rows)
     with pytest.raises(EnumerationBudgetExceeded):
         big.min_distance()
+    # a budget refusal is a ValueError, like every other refusal
+    assert issubclass(EnumerationBudgetExceeded, ValueError)
 
 
 def test_contains():

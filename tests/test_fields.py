@@ -10,8 +10,6 @@ from sdgqc.fields import (
     GF4,
     GF16,
     OMEGA,
-    compose_binary,
-    expand_binary,
     field_for,
 )
 
@@ -78,13 +76,6 @@ def test_conjugate_is_an_automorphism(f):
         for b in f.elements():
             assert f.conjugate(f.mul(a, b)) == f.mul(f.conjugate(a), f.conjugate(b))
             assert f.conjugate(f.add(a, b)) == f.add(f.conjugate(a), f.conjugate(b))
-
-
-def test_expand_compose_binary():
-    assert expand_binary(0x0) == (0, 0, 0, 0)
-    assert expand_binary(ALPHA) == (0, 1, 0, 0)
-    for a in GF16.elements():
-        assert compose_binary(expand_binary(a)) == a
 
 
 def test_field_for():

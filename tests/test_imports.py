@@ -8,10 +8,9 @@ import sdgqc
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-#: every name the package exported when it imported its modules eagerly, by
-#: the module that defines it
+#: every name the package exports, by the module that defines it
 EXPORTS = {
-    "fields": ("Field", "GF2", "GF4", "GF16", "ALPHA", "OMEGA", "field_for", "expand_binary", "compose_binary"),
+    "fields": ("Field", "GF2", "GF4", "GF16", "ALPHA", "OMEGA", "field_for"),
     "codes": ("EUCLIDEAN", "HERMITIAN", "EnumerationBudgetExceeded", "LinearCode", "extended_hamming_code",
               "load", "loads"),
     "constructions": ("block_rotate", "crt_components", "cubic_code", "cubic_map", "deinterleave", "direct_sum",
