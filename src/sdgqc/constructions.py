@@ -56,7 +56,7 @@ def _image_code(spec, c1: LinearCode, c2: LinearCode) -> LinearCode:
     field, masks = spec
     if c1.field.q != 2:
         raise ValueError("first component must be binary")
-    if c2.field is not field:
+    if c2.field.q != field.q:
         raise ValueError(f"second component must be over GF({field.q})")
     if c1.n != c2.n:
         raise ValueError("component codes must share their length")

@@ -19,7 +19,7 @@ from sdgqc.constructions import (
     quintic_map,
     section_shift,
 )
-from sdgqc.fields import GF2, GF4, GF16, field_for
+from sdgqc.fields import GF2, GF4, GF16, Field, field_for
 
 
 def bits(s):
@@ -161,6 +161,17 @@ def test_quintic_code_example():
     # witness: s with expansion (1,0,1,0) gives blocks (1,1,1,1,0)
     w = quintic_map(bits("11"), (0x5, 0x5))
     assert sum(w) == 2 and c.contains(w)
+
+
+def test_image_over_an_equal_field():
+    # a field is known by its size: a code over a second Field(q) instance
+    # has the same image as one over the package's own
+    c1 = LinearCode.from_rows(GF2, 2, [bits("11")])
+    for build, field, row in ((cubic_code, GF4, (1, 2)), (quintic_code, GF16, (1, 5))):
+        twin = Field(field.q)
+        assert twin is not field
+        got = build(c1, LinearCode.from_rows(twin, 2, [row]))
+        assert got == build(c1, LinearCode.from_rows(field, 2, [row]))
 
 
 def test_quintic_code_with_zero_gf16_component():
