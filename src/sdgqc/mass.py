@@ -25,7 +25,8 @@ multiplied pairwise in an exact context.  str() of a big int is quadratic
 in CPython 3.11: 3.6-4.1 ms for the 15,413 digits of the GF(16) count at
 ell=320, and 7-8 s for the 631k digits of the largest counts.  Printed from
 their factors they take about 2 ms and 0.3 s (2-core host, Python 3.11.7).
-A count past 2^_MAX_BITS is refused with ValueError before it is computed.
+A count or a ratio past 2^_MAX_BITS is refused with ValueError before it
+is computed.
 `decimal_text` prints any other big int, or a Fraction, by the same
 Decimal joins from the int's own bits.
 """
@@ -118,9 +119,14 @@ def ratio(q: int, ell: int, type2: bool = False) -> int:
     factor 2^a + 1 of the count's last exponent a, which the containing-word
     count drops.  It is 2^(ell/2-1)+1 binary, 2^(ell/2-2)+1 Type II and
     2^(2*ell-2)+1 over GF(16); binary ell = 2 has no factors, a = 0 and the
-    ratio 2, though it has no containing-word count."""
+    ratio 2, though it has no containing-word count.  Like a count, a ratio
+    past 2^_MAX_BITS (a > _MAX_BITS: binary ell > 4,194,306, GF(16)
+    ell > 1,048,576) is refused with ValueError before it is built."""
     r = _factors(q, ell, type2=type2)[0]
-    return 2 ** (r.start + (len(r) - 1) * r.step) + 1
+    a = r.start + (len(r) - 1) * r.step
+    if a > _MAX_BITS:
+        raise ValueError(f"the count ratio exceeds 2^{a}, past the 2^{_MAX_BITS} limit")
+    return 2**a + 1
 
 
 def count_digits(q: int, ell: int, containing: bool = False, type2: bool = False) -> str:

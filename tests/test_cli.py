@@ -400,6 +400,22 @@ def test_bounds_refuse_huge_lengths_fast(capsys):
         assert err == f"error: summing {weights} weights at ell=1000000 is past the limit of 4294967296 bit-steps\n"
 
 
+def test_bounds_refuse_huge_ratios_fast(capsys):
+    # the counting ratio's size alone refuses these, before it is built;
+    # at ell = 10^8 `bound` used to print a 90 MB left-hand side
+    for argv in (["bound", "--ell", "100000000", "--d", "3", "--mode", "exact"],
+                 ["maxdist", "--ell", "100000000", "--mode", "literal"],
+                 ["asymptote", "--construction", "quintic", "--ells", "100000000", "--mode", "exact"]):
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 2 and out == ""
+        assert err == "error: the count ratio exceeds 2^49999999, past the 2^2097152 limit\n"
+    rc, out, err = run(capsys, "bound", "--ell", "1048578", "--d", "3", "--mode", "exact")
+    assert rc == 2 and out == ""
+    assert err == "error: the count ratio exceeds 2^2097154, past the 2^2097152 limit\n"
+
+
 def test_main_reuses_parser_without_leaking_state(capsys, rep2):
     calls = [
         ["maxdist", "--ell", "40", "--mode", "exact", "--json"],

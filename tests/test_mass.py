@@ -197,6 +197,17 @@ def test_ratio_values():
     assert mass.ratio(2, 2) == 2
 
 
+def test_ratios_past_the_bit_limit_are_refused():
+    # the GF(16) ratio 2^(2*ell-2) + 1: exponent 2^21 - 2 is built, 2^21 + 2
+    # refused; the binary ratio 2^(ell/2-1) + 1 reaches 2^21 at ell = 4,194,306
+    assert mass.ratio(16, 1048576) == 2**2097150 + 1
+    assert mass.ratio(2, 4194306) == 2**2097152 + 1
+    for q, ell, a in ((16, 1048578, 2097154), (2, 4194308, 2097153)):
+        with pytest.raises(ValueError) as refused:
+            mass.ratio(q, ell)
+        assert str(refused.value) == f"the count ratio exceeds 2^{a}, past the 2^2097152 limit"
+
+
 @pytest.mark.parametrize("q, ell, type2, message", [
     (2, 7, False, "length must be a positive even integer, got 7"),
     (2, 12, True, "length must be a positive multiple of 8, got 12"),
