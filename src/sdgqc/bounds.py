@@ -234,7 +234,8 @@ def _sides(ell: int, mode: str, type2: bool, last: int):
     of the `_summands` below weight d.  No word is heavier than m*ell, so
     the left-hand side at any larger d is the one at m*ell + 1.  Refused
     with ValueError, before any sum, when the work estimate passes
-    _MAX_WORK."""
+    _MAX_WORK, and by `mass.ratio`, before any ratio is built, when a
+    counting ratio passes 2^mass._MAX_BITS (GF(16) ell > 1,048,576)."""
     coef2, coef16, rhs = _coefficients(ell, mode, type2)
     weights = min(last, _M * ell + 1)
     if weights * _M * ell > _MAX_WORK:
