@@ -67,6 +67,7 @@ def test_per_weight_bounds():
     assert bounds.a3_bound(2, 5) == 2
     assert bounds.a3_bound(2, 10) == 1
     assert bounds.a3_bound(2, 3) == 0
+    assert bounds.a3_bound(2, 15) == bounds.a3_bound(2, -5) == 0  # past ell blocks, negative
 
 
 def test_a2_bound_matches_closed_form():

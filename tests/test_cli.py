@@ -402,7 +402,7 @@ def test_bounds_refuse_huge_lengths_fast(capsys):
 
 def test_bounds_refuse_huge_ratios_fast(capsys):
     # the counting ratio's size alone refuses these, before it is built;
-    # at ell = 10^8 `bound` used to print a 90 MB left-hand side
+    # answered, `bound` at ell = 10^8 would print a 90 MB left-hand side
     for argv in (["bound", "--ell", "100000000", "--d", "3", "--mode", "exact"],
                  ["maxdist", "--ell", "100000000", "--mode", "literal"],
                  ["asymptote", "--construction", "quintic", "--ells", "100000000", "--mode", "exact"]):
