@@ -98,6 +98,21 @@ FIXED = [
     ["sample", "--q", 2, "--n", 64, "--seed", 1],
     ["sample", "--q", 4, "--n", 32, "--seed", 4],
     ["sample", "--q", 16, "--n", 16, "--seed", 24],
+    # forms that only argparse parses: abbreviations, --opt=value, values
+    # starting with "-", repeats, "--", and the usage errors
+    ["maxdist", "--ell", 40, "--mo", "exact"],
+    ["bound", "--ell", 40, "--d=-3", "--mode", "exact"],
+    ["entropy", "--q", 2, "--x", "-0.5"],
+    ["maxdist", "--ell", 40, "--ell", 80, "--mode", "exact"],
+    ["maxdist", "--ell", "--mode", "exact"],
+    ["maxdist", "--ell", 40],
+    ["maxdist", "--ell", 40, "--mode", "exact", "--bogus"],
+    ["maxdist", "--ell", 40, "--mode", "fuzzy"],
+    ["maxdist", "--ell", 40, "--mode", "exact", "--"],
+    ["maxdist", "--", "--ell", 40, "--mode", "exact"],
+    [],
+    ["maxdits", "--ell", 40, "--mode", "exact"],
+    ["asymptote", "--construction", "quintic", "--ells", "40,x", "--mode", "exact"],
     # usage text and choices: the top level's help, then each subcommand's
     ["--help"],
     *([name, "--help"] for name in ("construct", "verify", "mindist", "mass", "census", "sample", "bound", "maxdist",

@@ -40,10 +40,13 @@ def test_fingerprint_repeats_across_temporary_directories():
     ]
 
 
-def test_fingerprint_matches_the_frozen_lines():
+def test_fingerprint_matches_the_frozen_lines(monkeypatch):
     # every command but the --help ones, whose text argparse wraps at the
     # terminal width and words differently across Python versions; README
-    # "Tests" says how to regenerate the fixture after a deliberate change
+    # "Tests" says how to regenerate the fixture after a deliberate change.
+    # The usage errors' lines are argparse's usage text too, frozen at the
+    # width the fixture was written at
+    monkeypatch.setenv("COLUMNS", "80")
     commands, inputs = cli_fingerprint.cli_mix_commands()
     fixed = [argv for argv in cli_fingerprint.FIXED if "--help" not in argv]
     with open(os.path.join(ROOT, "tests", "fixtures", "cli_fingerprint.txt"), encoding="utf-8") as f:
