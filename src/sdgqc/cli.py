@@ -5,13 +5,14 @@ selftest check fails), 2 usage or input-format errors.  Diagnostics go to
 stderr, data to stdout.
 """
 
-import argparse
 import os
 import sys
 from functools import lru_cache
+from types import SimpleNamespace
 
 # Each handler imports the modules it uses, so that importing this module
-# and building the parser load no other module of the package.
+# and building the parser load no other module of the package; argparse is
+# imported only by build_parser, for what _exact_parse declines.
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -232,96 +233,118 @@ def cmd_selftest(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _opt(name, type=None, choices=None, required=False, flag=False, **shown):
+    """One option of COMMANDS: (name, dest, type, choices, required, flag,
+    shown), where flag marks a store_true option and shown holds the
+    keywords only the help text reads (metavar, help)."""
+    return name, name[2:].replace("-", "_"), type, choices, required, flag, shown
+
+
+_MODE = _opt("--mode", required=True, choices=["literal", "exact"])
+_ELL, _N = _opt("--ell", int, required=True), _opt("--n", int, required=True)
+_TYPE2, _JSON = _opt("--type2", flag=True), _opt("--json", flag=True)
+
+#: every subcommand, one row each: name -> (handler, help, options);
+#: build_parser and _exact_parse both read it
+COMMANDS = {
+    "construct": (cmd_construct, "build a code from two input codes", (
+        _opt("--c1", required=True), _opt("--c2", required=True),
+        _opt("--construction", required=True, choices=["cubic", "quintic", "gqc"]),
+        _opt("--interleave", flag=True), _opt("--out"))),
+    "verify": (cmd_verify, "check self-duality (and optionally Type II)", (
+        _opt("--code", required=True), _opt("--inner", required=True, choices=["euclidean", "hermitian"]),
+        _TYPE2, _JSON)),
+    "mindist": (cmd_mindist, "exact minimum distance", (_opt("--code", required=True), _JSON)),
+    "mass": (cmd_mass, "exact counting-formula value", (
+        _opt("--q", int, required=True, choices=[2, 16]), _ELL, _TYPE2, _opt("--containing", flag=True),
+        _opt("--literal-paper", flag=True), _JSON)),
+    "census": (cmd_census, "exhaustive self-dual code census", (
+        _opt("--q", int, required=True, choices=[2, 16]), _N, _TYPE2, _opt("--containing", metavar="SYMS"),
+        _opt("--list", metavar="DIR"), _JSON)),
+    "sample": (cmd_sample, "seeded random self-dual code", (
+        _opt("--q", int, required=True, choices=[2, 4, 16]), _N, _opt("--seed", int, required=True),
+        _opt("--out"))),
+    "bound": (cmd_bound, "evaluate one existence inequality", (
+        _ELL, _opt("--d", int, required=True), _MODE, _TYPE2, _JSON)),
+    "maxdist": (cmd_maxdist, "largest certified distance", (_ELL, _MODE, _TYPE2, _JSON)),
+    "asymptote": (cmd_asymptote, "CSV table of certified relative distances", (
+        _opt("--construction", required=True, choices=["quintic", "quintic_type2"]),
+        _opt("--ells", required=True, help="comma-separated block lengths"), _MODE)),
+    "entropy": (cmd_entropy, "q-ary entropy or its inverse", (
+        _opt("--q", int, required=True), _opt("--x", float, required=True), _opt("--inverse", flag=True),
+        _JSON)),
+    "selftest": (cmd_selftest, "census-vs-formula and identity checks", (_opt("--literal-paper", flag=True),)),
+}
+
+
+def build_parser():
+    """A new argparse parser for COMMANDS; `main` uses it for what
+    _exact_parse declines, and for the help and usage errors."""
+    import argparse
+
     p = argparse.ArgumentParser(prog="sdgqc", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kw):
-        sp = sub.add_parser(name, **kw)
+    for command, (fn, help, options) in COMMANDS.items():
+        sp = sub.add_parser(command, help=help)
         sp.set_defaults(fn=fn)
-        return sp
-
-    sp = add("construct", cmd_construct, help="build a code from two input codes")
-    sp.add_argument("--c1", required=True)
-    sp.add_argument("--c2", required=True)
-    sp.add_argument("--construction", required=True, choices=["cubic", "quintic", "gqc"])
-    sp.add_argument("--interleave", action="store_true")
-    sp.add_argument("--out")
-
-    sp = add("verify", cmd_verify, help="check self-duality (and optionally Type II)")
-    sp.add_argument("--code", required=True)
-    sp.add_argument("--inner", required=True, choices=["euclidean", "hermitian"])
-    sp.add_argument("--type2", action="store_true")
-    sp.add_argument("--json", action="store_true")
-
-    sp = add("mindist", cmd_mindist, help="exact minimum distance")
-    sp.add_argument("--code", required=True)
-    sp.add_argument("--json", action="store_true")
-
-    sp = add("mass", cmd_mass, help="exact counting-formula value")
-    sp.add_argument("--q", type=int, required=True, choices=[2, 16])
-    sp.add_argument("--ell", type=int, required=True)
-    sp.add_argument("--type2", action="store_true")
-    sp.add_argument("--containing", action="store_true")
-    sp.add_argument("--literal-paper", action="store_true")
-    sp.add_argument("--json", action="store_true")
-
-    sp = add("census", cmd_census, help="exhaustive self-dual code census")
-    sp.add_argument("--q", type=int, required=True, choices=[2, 16])
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--type2", action="store_true")
-    sp.add_argument("--containing", metavar="SYMS")
-    sp.add_argument("--list", metavar="DIR")
-    sp.add_argument("--json", action="store_true")
-
-    sp = add("sample", cmd_sample, help="seeded random self-dual code")
-    sp.add_argument("--q", type=int, required=True, choices=[2, 4, 16])
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--out")
-
-    sp = add("bound", cmd_bound, help="evaluate one existence inequality")
-    sp.add_argument("--ell", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--mode", required=True, choices=["literal", "exact"])
-    sp.add_argument("--type2", action="store_true")
-    sp.add_argument("--json", action="store_true")
-
-    sp = add("maxdist", cmd_maxdist, help="largest certified distance")
-    sp.add_argument("--ell", type=int, required=True)
-    sp.add_argument("--mode", required=True, choices=["literal", "exact"])
-    sp.add_argument("--type2", action="store_true")
-    sp.add_argument("--json", action="store_true")
-
-    sp = add("asymptote", cmd_asymptote, help="CSV table of certified relative distances")
-    sp.add_argument("--construction", required=True, choices=["quintic", "quintic_type2"])
-    sp.add_argument("--ells", required=True, help="comma-separated block lengths")
-    sp.add_argument("--mode", required=True, choices=["literal", "exact"])
-
-    sp = add("entropy", cmd_entropy, help="q-ary entropy or its inverse")
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--inverse", action="store_true")
-    sp.add_argument("--json", action="store_true")
-
-    sp = add("selftest", cmd_selftest, help="census-vs-formula and identity checks")
-    sp.add_argument("--literal-paper", action="store_true")
-
+        for name, dest, type, choices, required, flag, shown in options:
+            if flag:
+                sp.add_argument(name, dest=dest, action="store_true", **shown)
+            else:
+                sp.add_argument(name, dest=dest, type=type, choices=choices, required=required, **shown)
     return p
 
 
 @lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
+def _parser():
     """The parser `main` uses, built once per process: parse_args leaves no
     state in it, so one parser serves every call."""
     return build_parser()
 
 
+def _exact_parse(argv):
+    """The namespace build_parser().parse_args(argv) builds, with equal vars,
+    when argv is a known subcommand followed by full option names only, each
+    valued option followed by a str that does not start with "-" and passes
+    the option's type and choices, with every required option present; None
+    for any other argv, which argparse then parses or refuses.  Prints nothing."""
+    spec = COMMANDS.get(argv[0]) if argv and isinstance(argv[0], str) else None
+    if spec is None:
+        return None
+    fn, _help, options = spec
+    by_name = {option[0]: option for option in options}
+    values = {dest: False if flag else None for _, dest, _, _, _, flag, _ in options}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option = by_name.get(token) if isinstance(token, str) else None
+        if option is None:
+            return None
+        _, dest, type, choices, _, flag, _ = option
+        if flag:
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        if not isinstance(value, str) or value.startswith("-"):
+            return None
+        try:
+            values[dest] = value = value if type is None else type(value)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+    if any(values[dest] is None for _, dest, _, _, required, _, _ in options if required):
+        return None
+    return SimpleNamespace(command=argv[0], fn=fn, **values)
+
+
 def main(argv=None) -> int:
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as e:
-        return e.code if isinstance(e.code, int) else 2
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _exact_parse(argv)
+    if args is None:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as e:
+            return e.code if isinstance(e.code, int) else 2
     try:
         return args.fn(args)
     except ValueError as e:

@@ -1,5 +1,10 @@
 import argparse
+import contextlib
+import importlib.util
+import io
 import json
+import os
+import random
 import sys
 import time
 
@@ -455,3 +460,95 @@ def test_parser_choices_match_the_library_vocabulary():
     for command in ("bound", "maxdist", "asymptote"):
         assert choices(command, "--mode") == (bounds.LITERAL, bounds.EXACT)
     assert choices("verify", "--inner") == (codes.EUCLIDEAN, codes.HERMITIAN)
+
+
+# the fingerprint's commands, and through it the benchmark's workloads
+_spec = importlib.util.spec_from_file_location(
+    "cli_fingerprint", os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts",
+                                    "cli_fingerprint.py"))
+cli_fingerprint = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(cli_fingerprint)
+
+#: values drawn for an option: well-formed ones, and ones argparse alone
+#: parses or refuses (a leading "-", forms int() or float() refuses or takes)
+_VALUES = {int: ["40", "8", "2", "16", "0", "+4", " 7", "4_0", "-3", "x", "", "1.5"],
+           float: ["0.5", "0.25", ".5", "1e-3", "inf", "-0.5", "x", ""],
+           None: ["a.txt", "40,80", "40,x", "x y", "", "-", "--json"]}
+
+
+def _random_argv(rng):
+    """An argv built from cli.COMMANDS, well formed or with one or more of
+    the forms only argparse parses: an unknown or abbreviated command or
+    option, --opt=value, a missing or bad value, a bad choice, a repeat, a
+    missing required option, "--", --help or a token that is not a str."""
+    if rng.random() < 0.05:
+        return rng.choice([[], ["--help"], ["maxdits"], ["mass", "-h"], ["-h", "mass"], ["--", "mass"]])
+    command = rng.choice(sorted(cli.COMMANDS))
+    options = list(cli.COMMANDS[command][2])
+    chosen = [o for o in options if (o[4] and rng.random() < 0.95) or rng.random() < 0.3]
+    chosen += rng.sample(options, rng.randint(0, 1))  # a repeat, now and then
+    rng.shuffle(chosen)
+    argv = [command]
+    for name, _dest, type, choices, _required, flag, _shown in chosen:
+        value = [] if flag else [str(rng.choice((choices if choices and rng.random() < 0.9 else _VALUES[type])
+                                                + ["fuzzy"] * (choices is not None)))]
+        form = rng.random()
+        if form < 0.85:
+            argv += [name, *value]
+        elif form < 0.89:
+            argv += [name[:-1] if len(name) > 3 else name, *value]  # an abbreviation
+        elif form < 0.92 and value:
+            argv.append(f"{name}={value[0]}")
+        elif form < 0.95:
+            argv.append(name)  # a missing value, or a flag
+        else:
+            argv += [rng.choice(["--", "--bogus", "--help", "-h", 40]), name, *value]
+    return argv
+
+
+def _argparse_vars(parser, argv):
+    """vars of parser.parse_args(argv), or None where it refuses argv."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(parser.parse_args(argv))
+    except (SystemExit, TypeError):  # TypeError: a token that is not a str
+        return None
+
+
+def _benchmark_argvs():
+    """The argv of every `cli-mix` op at seeds 1-5, and of every command in
+    the first 3 `census` sweeps at those seeds."""
+    commands, _inputs = cli_fingerprint.cli_mix_commands()
+    import workloads  # on the path once cli_mix_commands has run
+
+    swept = []
+    goldens = workloads.load_goldens()
+    real = workloads.cli
+    workloads.cli = lambda argv: swept.append([str(a) for a in argv])
+    try:
+        for seed in cli_fingerprint.SEEDS:
+            for _index, op in zip(range(3), workloads.Census(seed, "/census-work", goldens).ops()):
+                op.run()
+    finally:
+        workloads.cli = real
+    return [[str(a) for a in argv] for argv in commands], swept
+
+
+def test_exact_parse_agrees_with_argparse():
+    # the exact-form parse builds argparse's namespace or declines, on every
+    # fingerprint command and on seeded random argvs from the option table
+    parser = cli.build_parser()
+    mix, swept = _benchmark_argvs()
+    fixed = [[str(a) for a in argv] for argv in cli_fingerprint.FIXED]
+    rng = random.Random(23)
+    argvs = mix + swept + fixed + [_random_argv(rng) for _ in range(3000)]
+    accepted = 0
+    for argv in argvs:
+        exact = cli._exact_parse(argv)
+        want = _argparse_vars(parser, argv)
+        assert exact is None or vars(exact) == want, argv
+        accepted += exact is not None
+    # the benchmark's commands take the exact path, and so do many random ones
+    assert all(cli._exact_parse(argv) is not None for argv in mix + swept)
+    assert len(mix) == 5 * 33 and len(swept) == 5 * 3 * 9
+    assert accepted > len(argvs) // 4

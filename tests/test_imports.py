@@ -45,6 +45,18 @@ def test_a_command_loads_only_the_modules_it_uses():
     assert package_modules(modules) == {"sdgqc", "sdgqc.cli", "sdgqc.mass"}
 
 
+@pytest.mark.parametrize("argv, parses", [
+    (["census", "--q", "2", "--n", "8"], False),
+    (["maxdist", "--ell", "40", "--mode", "exact"], False),
+    (["maxdist", "--help"], True),
+])
+def test_only_help_and_refusals_load_argparse(argv, parses):
+    # a well-formed command is parsed off the option table; argparse is
+    # loaded for the forms that table parse declines, such as --help
+    modules = loaded_after(f"import sdgqc.cli\nsdgqc.cli.main({argv!r})")
+    assert ("argparse" in modules) == parses
+
+
 def test_no_module_loads_dataclasses_or_typing():
     modules = loaded_after("".join(f"import sdgqc.{name}\n" for name in (*SUBMODULES, "cli")))
     assert package_modules(modules) == {"sdgqc", "sdgqc.cli", *(f"sdgqc.{name}" for name in SUBMODULES)}
