@@ -171,7 +171,12 @@ def cmd_maxdist(args) -> int:
 def cmd_asymptote(args) -> int:
     from . import bounds
 
-    ells = [int(t) for t in args.ells.split(",") if t]
+    ells = []
+    for t in filter(None, args.ells.split(",")):
+        try:
+            ells.append(int(t))
+        except ValueError:
+            raise ValueError(f"--ells takes comma-separated block lengths, got {t!r}")
     if not ells:
         raise ValueError("--ells needs at least one block length")
     rows = bounds.asymptote_table(args.construction, ells, args.mode)

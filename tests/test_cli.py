@@ -371,6 +371,9 @@ def test_usage_errors(capsys):
         rc, out, err = run(capsys, "asymptote", "--construction", "quintic", "--ells", ells,
                            "--mode", "exact")
         assert rc == 2 and out == "" and "needs at least one block length" in err
+    # a malformed entry is named, not reported in int()'s words
+    rc, out, err = run(capsys, "asymptote", "--construction", "quintic", "--ells", "40,x", "--mode", "exact")
+    assert (rc, out, err) == (2, "", "error: --ells takes comma-separated block lengths, got 'x'\n")
 
 
 def test_census_refuses_huge_lengths_fast(capsys):
