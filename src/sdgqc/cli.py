@@ -7,6 +7,7 @@ stderr, data to stdout.
 
 import os
 import sys
+from collections import namedtuple
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -238,11 +239,13 @@ def cmd_selftest(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+#: one option of COMMANDS: flag marks a store_true option, and shown holds
+#: the keywords only the help text reads (metavar, help)
+Option = namedtuple("Option", "name dest type choices required flag shown")
+
+
 def _opt(name, type=None, choices=None, required=False, flag=False, **shown):
-    """One option of COMMANDS: (name, dest, type, choices, required, flag,
-    shown), where flag marks a store_true option and shown holds the
-    keywords only the help text reads (metavar, help)."""
-    return name, name[2:].replace("-", "_"), type, choices, required, flag, shown
+    return Option(name, name[2:].replace("-", "_"), type, choices, required, flag, shown)
 
 
 _MODE = _opt("--mode", required=True, choices=["literal", "exact"])
@@ -292,11 +295,11 @@ def build_parser():
     for command, (fn, help, options) in COMMANDS.items():
         sp = sub.add_parser(command, help=help)
         sp.set_defaults(fn=fn)
-        for name, dest, type, choices, required, flag, shown in options:
-            if flag:
-                sp.add_argument(name, dest=dest, action="store_true", **shown)
+        for o in options:
+            if o.flag:
+                sp.add_argument(o.name, dest=o.dest, action="store_true", **o.shown)
             else:
-                sp.add_argument(name, dest=dest, type=type, choices=choices, required=required, **shown)
+                sp.add_argument(o.name, dest=o.dest, type=o.type, choices=o.choices, required=o.required, **o.shown)
     return p
 
 
@@ -317,27 +320,26 @@ def _exact_parse(argv):
     if spec is None:
         return None
     fn, _help, options = spec
-    by_name = {option[0]: option for option in options}
-    values = {dest: False if flag else None for _, dest, _, _, _, flag, _ in options}
+    by_name = {o.name: o for o in options}
+    values = {o.dest: False if o.flag else None for o in options}
     tokens = iter(argv[1:])
     for token in tokens:
         option = by_name.get(token) if isinstance(token, str) else None
         if option is None:
             return None
-        _, dest, type, choices, _, flag, _ = option
-        if flag:
-            values[dest] = True
+        if option.flag:
+            values[option.dest] = True
             continue
         value = next(tokens, None)
         if not isinstance(value, str) or value.startswith("-"):
             return None
         try:
-            values[dest] = value = value if type is None else type(value)
+            values[option.dest] = value = value if option.type is None else option.type(value)
         except ValueError:
             return None
-        if choices is not None and value not in choices:
+        if option.choices is not None and value not in option.choices:
             return None
-    if any(values[dest] is None for _, dest, _, _, required, _, _ in options if required):
+    if any(values[o.dest] is None for o in options if o.required):
         return None
     return SimpleNamespace(command=argv[0], fn=fn, **values)
 

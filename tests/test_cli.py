@@ -488,13 +488,13 @@ def _random_argv(rng):
         return rng.choice([[], ["--help"], ["maxdits"], ["mass", "-h"], ["-h", "mass"], ["--", "mass"]])
     command = rng.choice(sorted(cli.COMMANDS))
     options = list(cli.COMMANDS[command][2])
-    chosen = [o for o in options if (o[4] and rng.random() < 0.95) or rng.random() < 0.3]
+    chosen = [o for o in options if (o.required and rng.random() < 0.95) or rng.random() < 0.3]
     chosen += rng.sample(options, rng.randint(0, 1))  # a repeat, now and then
     rng.shuffle(chosen)
     argv = [command]
     for name, _dest, type, choices, _required, flag, _shown in chosen:
-        value = [] if flag else [str(rng.choice((choices if choices and rng.random() < 0.9 else _VALUES[type])
-                                                + ["fuzzy"] * (choices is not None)))]
+        pool = choices if choices and rng.random() < 0.9 else _VALUES[type]
+        value = [] if flag else [str(rng.choice(pool + ["fuzzy"] * (choices is not None)))]
         form = rng.random()
         if form < 0.85:
             argv += [name, *value]
@@ -518,30 +518,26 @@ def _argparse_vars(parser, argv):
         return None
 
 
-def _benchmark_argvs():
+def _benchmark_argvs(monkeypatch):
     """The argv of every `cli-mix` op at seeds 1-5, and of every command in
-    the first 3 `census` sweeps at those seeds."""
+    the first 3 `census` sweeps at those seeds, recorded in place of running."""
     commands, _inputs = cli_fingerprint.cli_mix_commands()
     import workloads  # on the path once cli_mix_commands has run
 
     swept = []
+    monkeypatch.setattr(workloads, "cli", lambda argv: swept.append([str(a) for a in argv]))
     goldens = workloads.load_goldens()
-    real = workloads.cli
-    workloads.cli = lambda argv: swept.append([str(a) for a in argv])
-    try:
-        for seed in cli_fingerprint.SEEDS:
-            for _index, op in zip(range(3), workloads.Census(seed, "/census-work", goldens).ops()):
-                op.run()
-    finally:
-        workloads.cli = real
+    for seed in cli_fingerprint.SEEDS:
+        for _index, op in zip(range(3), workloads.Census(seed, "/census-work", goldens).ops()):
+            op.run()
     return [[str(a) for a in argv] for argv in commands], swept
 
 
-def test_exact_parse_agrees_with_argparse():
+def test_exact_parse_agrees_with_argparse(monkeypatch):
     # the exact-form parse builds argparse's namespace or declines, on every
     # fingerprint command and on seeded random argvs from the option table
     parser = cli.build_parser()
-    mix, swept = _benchmark_argvs()
+    mix, swept = _benchmark_argvs(monkeypatch)
     fixed = [[str(a) for a in argv] for argv in cli_fingerprint.FIXED]
     rng = random.Random(23)
     argvs = mix + swept + fixed + [_random_argv(rng) for _ in range(3000)]
