@@ -245,6 +245,7 @@ Option = namedtuple("Option", "name dest type choices required flag shown")
 
 
 def _opt(name, type=None, choices=None, required=False, flag=False, **shown):
+    """An Option whose dest is derived from its name as argparse derives it."""
     return Option(name, name[2:].replace("-", "_"), type, choices, required, flag, shown)
 
 
@@ -292,8 +293,8 @@ def build_parser():
 
     p = argparse.ArgumentParser(prog="sdgqc", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-    for command, (fn, help, options) in COMMANDS.items():
-        sp = sub.add_parser(command, help=help)
+    for command, (fn, summary, options) in COMMANDS.items():
+        sp = sub.add_parser(command, help=summary)
         sp.set_defaults(fn=fn)
         for o in options:
             if o.flag:

@@ -518,7 +518,7 @@ def _argparse_vars(parser, argv):
         return None
 
 
-def _benchmark_argvs(monkeypatch):
+def _benchmark_argvs(monkeypatch, workdir):
     """The argv of every `cli-mix` op at seeds 1-5, and of every command in
     the first 3 `census` sweeps at those seeds, recorded in place of running."""
     commands, _inputs = cli_fingerprint.cli_mix_commands()
@@ -528,16 +528,16 @@ def _benchmark_argvs(monkeypatch):
     monkeypatch.setattr(workloads, "cli", lambda argv: swept.append([str(a) for a in argv]))
     goldens = workloads.load_goldens()
     for seed in cli_fingerprint.SEEDS:
-        for _index, op in zip(range(3), workloads.Census(seed, "/census-work", goldens).ops()):
+        for _index, op in zip(range(3), workloads.Census(seed, workdir, goldens).ops()):
             op.run()
     return [[str(a) for a in argv] for argv in commands], swept
 
 
-def test_exact_parse_agrees_with_argparse(monkeypatch):
+def test_exact_parse_agrees_with_argparse(monkeypatch, tmp_path):
     # the exact-form parse builds argparse's namespace or declines, on every
     # fingerprint command and on seeded random argvs from the option table
     parser = cli.build_parser()
-    mix, swept = _benchmark_argvs(monkeypatch)
+    mix, swept = _benchmark_argvs(monkeypatch, str(tmp_path))
     fixed = [[str(a) for a in argv] for argv in cli_fingerprint.FIXED]
     rng = random.Random(23)
     argvs = mix + swept + fixed + [_random_argv(rng) for _ in range(3000)]
