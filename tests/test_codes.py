@@ -249,20 +249,28 @@ def test_text_format_roundtrip():
 
 
 @st.composite
-def small_codes(draw):
-    """A code over GF(2), GF(4) or GF(16) of length n <= 8 spanned by up to
-    n random rows, with the field's inner product."""
-    q = draw(st.sampled_from([2, 4, 16]))
-    n = draw(st.integers(1, 8))
-    rows = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * n), max_size=n))
+def small_codes(draw, q=None, n=None):
+    """A code over GF(2), GF(4) or GF(16) (or GF(q)) of length n <= 8 (or
+    n), n = 1 often, spanned by up to n random rows whose last z symbols are
+    0 for a drawn z, with the field's inner product."""
+    q = q or draw(st.sampled_from([2, 4, 16]))
+    n = n or draw(st.one_of(st.just(1), st.integers(1, 8)))
+    z = draw(st.integers(0, n))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * (n - z), *[st.just(0)] * z), max_size=n))
     return LinearCode.from_rows(field_for(q), n, rows), EUCLIDEAN if q == 2 else HERMITIAN
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_codes())
-def test_text_format_roundtrip_property(code_inner):
+@given(small_codes(), st.data())
+def test_text_format_roundtrip_property(code_inner, data):
     c, _ = code_inner
-    assert loads(c.dump()) == c
+    text = c.dump()
+    assert loads(text) == c
+    # one hex digit per symbol, symbol 0 first
+    assert text.splitlines()[4:] == ["".join(format(s, "x") for s in row) for row in c.rows]
+    # codes of one field, length and dimension sort by their text as by their rows
+    found = [c] + [o for o, _ in data.draw(st.lists(small_codes(c.field.q, c.n), max_size=8))]
+    assert sorted(found, key=lambda o: (o.k, o.dump())) == sorted(found, key=lambda o: (o.k, o.rows))
 
 
 @settings(max_examples=60, deadline=None)
