@@ -7,12 +7,12 @@ code held as its packed RREF rows, and its parent is the code of its first
 k-1 rows, so each self-dual code is one leaf.  The search grows each
 distinct search state once and reuses its leaves wherever the state recurs
 under another parent; a count adds them up, and a listing reads every leaf's
-rows back along the states' children.  The sampler grows a random
-self-dual code one uniformly chosen isotropic vector at a time, rejecting
-a draw that no row of the current dual pairs nonzero with (one inside the
-span so far); the generator is Python's Mersenne Twister (random.Random),
-seeded with a 64-bit integer, which is the repository's fixed
-reproducibility contract.
+rows back along the states' children and sorts the codes by their text.
+The sampler grows a random self-dual code one uniformly chosen isotropic
+vector at a time, rejecting a draw that no row of the current dual pairs
+nonzero with (one inside the span so far); the generator is Python's
+Mersenne Twister (random.Random), seeded with a 64-bit integer, which is
+the repository's fixed reproducibility contract.
 
 Binary codes use the Euclidean inner product, GF(4)/GF(16) the Hermitian
 one, throughout.  Both narrow a dual with `codes`' one elimination routine,
@@ -56,7 +56,8 @@ def census(
     """Exact count (and optionally the list) of self-dual codes of length n.
 
     Returns (count, codes) where codes is None unless with_codes is set;
-    codes are sorted by their RREF rows.  A (q, n, type2) that `mass` has
+    codes are sorted by their text (`LinearCode.dump`), which orders them
+    as their RREF rows.  A (q, n, type2) that `mass` has
     no count for raises ValueError, and a length whose count exceeds
     _CODE_LIMIT is refused before the search; _STATE_LIMIT bounds the
     number of search-tree nodes visited.
@@ -184,12 +185,9 @@ def census(
     count, kids = grow(kernel_basis(field, constraints, n), 0, 1)
     if not with_codes:
         return count, None
-    # sorted as the tuple view sorts, not by packed int: a row's n symbol
-    # digits (binary at q=2, hex at q=16, the census's only fields) read
-    # from symbol 0 on order as its tuple, with no rows unpacked
-    digits = f"0{n}{'b' if q == 2 else 'x'}"
-    listing = sorted(expand(kids), key=lambda rows: [format(r, digits)[::-1] for r in rows])
-    return count, [LinearCode(field, n, rows) for rows in listing]
+    # every code listed has one header and k rows of n digits, so the
+    # texts sort as the rows do
+    return count, sorted((LinearCode(field, n, rows) for rows in expand(kids)), key=LinearCode.dump)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +225,7 @@ def sample_self_dual(q: int, n: int, seed: int) -> LinearCode:
     rng = random.Random(seed)
     # the dual of the draws accepted so far, held last pivot first, the
     # order in which _eliminate keeps it reduced
-    dual = [1 << i * field.bits for i in reversed(range(n))]
+    dual = kernel_basis(field, (), n)[::-1]
     while len(dual) > n // 2:
         dual_multiples = [multiples(d) for d in reversed(dual)]
         for _ in range(_MAX_DRAWS):

@@ -7,7 +7,8 @@ i sits in bits [i*bits, (i+1)*bits), so a row's pivot, its first nonzero
 column, is its lowest set bit.  `Field.packed_ops(n)` gives the primitives
 on them, and a scalar multiple c*v is read off as `multiples(v)[c]`.
 Symbol tuples appear only at the boundary: `from_rows`, `contains`, the
-`rows` view and the text format.
+`rows` view, `loads` and the GF(4) rows of `dump`, which prints a GF(2) or
+GF(16) row straight from its packed int.
 
 There is one elimination routine: the dual meet, span(dual) ∩ w^perp
 (`_meet_row` finds the row to eliminate, `_eliminate` removes it), and
@@ -239,15 +240,17 @@ class LinearCode:
     # -- text format --------------------------------------------------------
 
     def dump(self) -> str:
-        lines = [
-            FORMAT_HEADER,
-            f"q {self.field.q}",
-            f"n {self.n}",
-            f"k {self.k}",
-        ]
-        for row in self.rows:
-            lines.append("".join(format(s, "x") for s in row))
-        return "\n".join(lines) + "\n"
+        """The code text: the header, then each row as one hex digit per
+        symbol, symbol 0 first.  A GF(2) or GF(16) row is one format call,
+        reversed; no format spec prints a 2-bit symbol per digit, so a GF(4)
+        row is joined from its symbols."""
+        q, n = self.field.q, self.n
+        if q == 4:
+            body = ["".join(format(s, "x") for s in row) for row in self.rows]
+        else:
+            digits = f"0{n}{'b' if q == 2 else 'x'}"
+            body = [format(r, digits)[::-1] for r in self.basis]
+        return "\n".join([FORMAT_HEADER, f"q {q}", f"n {n}", f"k {self.k}", *body]) + "\n"
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
