@@ -8,7 +8,6 @@ stderr, data to stdout.
 import os
 import sys
 from collections import namedtuple
-from functools import lru_cache
 from types import SimpleNamespace
 
 # Each handler imports the modules it uses, so that importing this module
@@ -17,7 +16,7 @@ from types import SimpleNamespace
 
 
 def _emit(args, payload: dict, human: str) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         import json
 
         print(json.dumps(payload, sort_keys=True))
@@ -304,20 +303,14 @@ def build_parser():
     return p
 
 
-@lru_cache(maxsize=None)
-def _parser():
-    """The parser `main` uses, built once per process: parse_args leaves no
-    state in it, so one parser serves every call."""
-    return build_parser()
-
-
 def _exact_parse(argv):
     """The namespace build_parser().parse_args(argv) builds, with equal vars,
     when argv is a known subcommand followed by full option names only, each
     valued option followed by a str that does not start with "-" and passes
     the option's type and choices, with every required option present; None
-    for any other argv, which argparse then parses or refuses.  Prints nothing."""
-    spec = COMMANDS.get(argv[0]) if argv and isinstance(argv[0], str) else None
+    for any other argv, which argparse then parses or refuses.  Every token of
+    argv is a str.  Prints nothing."""
+    spec = COMMANDS.get(argv[0]) if argv else None
     if spec is None:
         return None
     fn, _help, options = spec
@@ -325,14 +318,14 @@ def _exact_parse(argv):
     values = {o.dest: False if o.flag else None for o in options}
     tokens = iter(argv[1:])
     for token in tokens:
-        option = by_name.get(token) if isinstance(token, str) else None
+        option = by_name.get(token)
         if option is None:
             return None
         if option.flag:
             values[option.dest] = True
             continue
         value = next(tokens, None)
-        if not isinstance(value, str) or value.startswith("-"):
+        if value is None or value.startswith("-"):
             return None
         try:
             values[option.dest] = value = value if option.type is None else option.type(value)
@@ -347,10 +340,14 @@ def _exact_parse(argv):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    bad = [token for token in argv if not isinstance(token, str)]
+    if bad:
+        print(f"error: arguments must be strings, got {bad[0]!r}", file=sys.stderr)
+        return 2
     args = _exact_parse(argv)
     if args is None:
         try:
-            args = _parser().parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as e:
             return e.code if isinstance(e.code, int) else 2
     try:
