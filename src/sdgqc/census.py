@@ -57,10 +57,10 @@ def census(
 
     Returns (count, codes) where codes is None unless with_codes is set;
     codes are sorted by their text (`LinearCode.dump`), which orders them
-    as their RREF rows.  A (q, n, type2) that `mass` has
-    no count for raises ValueError, and a length whose count exceeds
-    _CODE_LIMIT is refused before the search; _STATE_LIMIT bounds the
-    number of search-tree nodes visited.
+    as their RREF rows.  A (q, n, type2) that `mass` has no count for
+    raises ValueError, and a length whose count exceeds _CODE_LIMIT is
+    refused before the search; _STATE_LIMIT bounds the number of
+    search-tree nodes visited.
     """
     # feasibility: the leaves alone are this many.  Far past the limit the
     # lower bound alone refuses: the product would take minutes to compute

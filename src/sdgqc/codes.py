@@ -250,7 +250,7 @@ class LinearCode:
         else:
             digits = f"0{n}{'b' if q == 2 else 'x'}"
             body = [format(r, digits)[::-1] for r in self.basis]
-        return "\n".join([FORMAT_HEADER, f"q {q}", f"n {n}", f"k {self.k}", *body]) + "\n"
+        return "\n".join([f"{FORMAT_HEADER}\nq {q}\nn {n}\nk {self.k}", *body, ""])
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
