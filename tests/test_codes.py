@@ -250,9 +250,10 @@ def test_text_format_roundtrip():
 
 @st.composite
 def small_codes(draw, q=None, n=None):
-    """A code over GF(2), GF(4) or GF(16) (or GF(q)) of length n <= 8 (or
-    n), n = 1 often, spanned by up to n random rows whose last z symbols are
-    0 for a drawn z, with the field's inner product."""
+    """A code over GF(q) of length n, spanned by up to n random rows whose
+    last z symbols are 0 for a drawn z, with the field's inner product.  A q
+    not given is drawn from 2, 4 and 16, and an n not given from 1..8, with
+    n = 1 about half the time."""
     q = q or draw(st.sampled_from([2, 4, 16]))
     n = n or draw(st.one_of(st.just(1), st.integers(1, 8)))
     z = draw(st.integers(0, n))
