@@ -219,6 +219,10 @@ def _seeded_words(n: int) -> list:
      "00c645362399abd97fbfe39a3d7d1e5c1294205352c8491d21d0fbc4f33625f6"),
     (16, 4, {}, "08b1b77e42aab5d0abe1dd0e33c3c8684ab84493aff4b4391584f10357b3fec6"),
     (2, 10, {}, "dae7733052aee202b3c4371ef9bd389dfedf930a8fdc5b1b81544b685aab8db7"),
+    pytest.param(2, 12, {}, "489ac83844295fb677f4cf87a51ec9e90d653304999556526c727c5d55facf76",
+                 marks=pytest.mark.slow),
+    pytest.param(16, 6, {}, "259098829a12eb2c3a55217d5bbee69dc84156cf5d80f27639c4752f901dc420",
+                 marks=pytest.mark.slow),
 ])
 def test_census_listings_frozen(q, n, options, digest):
     # the sha256 of the joined dumps of each listing, frozen: the codes,
@@ -237,11 +241,14 @@ def test_census_listings_frozen(q, n, options, digest):
 ])
 def test_census_count_matches_listing(q, n, options):
     # a count adds up the leaves of the search states and a listing reads
-    # them back along the states' kids: the two must agree in number, and
-    # test_census_listings_frozen pins what the listings hold
+    # them back along the states' kids: the two must agree in number, the
+    # listing must be in text order, and test_census_listings_frozen pins
+    # what the listings hold
     count, _ = census.census(q, n, **options)
     listed, codes = census.census(q, n, with_codes=True, **options)
     assert count == listed == len(codes)
+    texts = [c.dump() for c in codes]
+    assert texts == sorted(texts)
 
 
 def test_count_words_by_type_totals():
