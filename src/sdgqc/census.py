@@ -7,7 +7,9 @@ code held as its packed RREF rows, and its parent is the code of its first
 k-1 rows, so each self-dual code is one leaf.  The search grows each
 distinct search state once and reuses its leaves wherever the state recurs
 under another parent; a count adds them up, and a listing reads every leaf's
-rows back along the states' children and sorts the codes by their text.
+rows back along the states' children.  Each state sorts its children once,
+by the text of their rows, so the listing comes out in text order with no
+sort over the whole of it.
 The sampler grows a random self-dual code one uniformly chosen isotropic
 vector at a time, rejecting a draw that no row of the current dual pairs
 nonzero with (one inside the span so far); the generator is Python's
@@ -56,11 +58,12 @@ def census(
     """Exact count (and optionally the list) of self-dual codes of length n.
 
     Returns (count, codes) where codes is None unless with_codes is set;
-    codes are sorted by their text (`LinearCode.dump`), which orders them
-    as their RREF rows.  A (q, n, type2) that `mass` has no count for
-    raises ValueError, and a length whose count exceeds _CODE_LIMIT is
-    refused before the search; _STATE_LIMIT bounds the number of
-    search-tree nodes visited.
+    codes are in the order of their text (`LinearCode.dump`), which orders
+    them as their RREF rows: each search state sorts its children by their
+    row's text, so the listing needs no sort of its own.  A (q, n, type2)
+    that `mass` has no count for raises ValueError, and a length whose
+    count exceeds _CODE_LIMIT is refused before the search; _STATE_LIMIT
+    bounds the number of search-tree nodes visited.
     """
     # feasibility: the leaves alone are this many.  Far past the limit the
     # lower bound alone refuses: the product would take minutes to compute
@@ -176,18 +179,23 @@ def census(
             nodes += leaves
             if nodes > state_limit:
                 raise EnumerationBudgetExceeded(over)
+        if with_codes:
+            # sorted once, by the text of the kid's row (the one-row code's
+            # dump), before the state is memoized.  Every code listed has one
+            # header and k rows of n digits, and the leaves below a kid all
+            # carry its row here, so a depth-first read of the sorted kids
+            # lists the codes in text order, under every parent of the state
+            kids.sort(key=lambda kid: LinearCode(field, n, kid[:1]).dump())
         return leaves, kids
 
     def expand(kids: list) -> list:
-        # the rows of every leaf below a node, read back along its kids
+        # the rows of every leaf below a node, read back along its sorted kids
         return [(r,) + rows for r, below in kids for rows in ([()] if below is None else expand(below))]
 
     count, kids = grow(kernel_basis(field, constraints, n), 0, 1)
     if not with_codes:
         return count, None
-    # every code listed has one header and k rows of n digits, so the
-    # texts sort as the rows do
-    return count, sorted((LinearCode(field, n, rows) for rows in expand(kids)), key=LinearCode.dump)
+    return count, [LinearCode(field, n, rows) for rows in expand(kids)]
 
 
 # ---------------------------------------------------------------------------
