@@ -143,9 +143,6 @@ class Field:
             raise ValueError(f"{a} is not an element of GF({self.q})")
         return a
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
 
@@ -165,9 +162,6 @@ class Field:
         for _ in range(e):
             r = self._mul[r][a]
         return r
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def __repr__(self) -> str:
         return f"GF({self.q})"

@@ -14,12 +14,6 @@ from sdgqc.fields import (
 )
 
 
-def test_addition_is_xor():
-    assert GF16.add(0x3, 0x5) == 0x6
-    assert GF4.add(OMEGA, OMEGA) == 0
-    assert GF2.add(1, 1) == 0
-
-
 def test_multiplication_examples():
     assert GF4.mul(OMEGA, OMEGA) == 0x3  # w^2 = w + 1
     assert GF16.mul(ALPHA, GF16.pow(ALPHA, 3)) == 0xF  # a^4 = a^3+a^2+a+1
@@ -36,16 +30,16 @@ def test_alpha_has_multiplicative_order_five():
 def test_conjugation():
     assert GF4.conjugate(OMEGA) == 0x3
     assert GF16.conjugate(1) == 1
-    for a in GF16.elements():
+    for a in range(GF16.q):
         assert GF16.conjugate(GF16.conjugate(a)) == a
     with pytest.raises(ValueError):
         GF2.conjugate(1)
 
 
 def test_conjugation_fixes_the_right_subfield():
-    fixed16 = {a for a in GF16.elements() if GF16.conjugate(a) == a}
+    fixed16 = {a for a in range(GF16.q) if GF16.conjugate(a) == a}
     assert len(fixed16) == 4  # GF(4) inside GF(16)
-    fixed4 = {a for a in GF4.elements() if GF4.conjugate(a) == a}
+    fixed4 = {a for a in range(GF4.q) if GF4.conjugate(a) == a}
     assert fixed4 == {0, 1}
 
 
@@ -61,21 +55,20 @@ def test_inverses():
 
 @pytest.mark.parametrize("f", [GF4, GF16])
 def test_field_axioms_exhaustive(f):
-    els = list(f.elements())
+    els = range(f.q)
     for a, b in itertools.product(els, els):
         assert f.mul(a, b) == f.mul(b, a)
-        assert f.add(a, b) == f.add(b, a)
     for a, b, c in itertools.product(els, els, els):
         assert f.mul(a, f.mul(b, c)) == f.mul(f.mul(a, b), c)
-        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+        assert f.mul(a, b ^ c) == f.mul(a, b) ^ f.mul(a, c)
 
 
 @pytest.mark.parametrize("f", [GF4, GF16])
 def test_conjugate_is_an_automorphism(f):
-    for a in f.elements():
-        for b in f.elements():
+    for a in range(f.q):
+        for b in range(f.q):
             assert f.conjugate(f.mul(a, b)) == f.mul(f.conjugate(a), f.conjugate(b))
-            assert f.conjugate(f.add(a, b)) == f.add(f.conjugate(a), f.conjugate(b))
+            assert f.conjugate(a ^ b) == f.conjugate(a) ^ f.conjugate(b)
 
 
 def test_field_for():
