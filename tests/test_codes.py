@@ -230,6 +230,55 @@ def test_contains():
         assert all(c.contains(ones) for c in codes)
 
 
+def _random_codeword(f, rng, rows, n):
+    word = (0,) * n
+    for r in rows:
+        c = rng.randrange(f.q)
+        word = tuple(x ^ f.mul(c, y) for x, y in zip(word, r))
+    return word
+
+
+@pytest.mark.parametrize("q", [2, 4, 16])
+def test_contains_matches_the_dual(q):
+    # v lies in C iff no row of C's dual pairs nonzero with v: checked on
+    # random words, random codewords, near misses and every basis row of
+    # random codes with 0 <= k <= n <= 8, the word packed here by hand
+    f = field_for(q)
+    rng = random.Random(40 + q)
+    for _ in range(150):
+        n = rng.randrange(9)
+        rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(rng.randrange(n + 1))]
+        code = LinearCode.from_rows(f, n, rows)
+        pair = f.packed_ops(n).pair
+        dual = kernel_basis(f, code.basis, n)
+        words = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(4)] + list(code.rows)
+        for _ in range(4):
+            word = list(_random_codeword(f, rng, code.rows, n))
+            words.append(tuple(word))
+            if n:
+                word[rng.randrange(n)] ^= rng.randrange(1, q)
+                words.append(tuple(word))
+        for w in words:
+            packed = sum(s << i * f.bits for i, s in enumerate(w))
+            assert code.contains(w) == (not any(pair(d, packed) for d in dual)), (code.rows, w)
+        assert all(code.contains(r) for r in code.rows)
+
+
+@pytest.mark.parametrize("q", [2, 4, 16])
+def test_contains_and_from_rows_refuse_bad_words(q):
+    f = field_for(q)
+    code = LinearCode.from_rows(f, 3, [(1, 1, 0)])
+    for word in [(1, 1), (1, 1, 0, 0), (0, q, 0), (0, -1, 0)]:
+        with pytest.raises(ValueError):
+            code.contains(word)
+        with pytest.raises(ValueError):
+            LinearCode.from_rows(f, 3, [(1, 1, 0), word])
+    with pytest.raises(ValueError, match="row of length 2, expected 3"):
+        LinearCode.from_rows(f, 3, [(1, 1)])
+    # a row may be any iterable of symbols
+    assert LinearCode.from_rows(f, 3, [iter((1, 1, 0))]) == code
+
+
 def test_self_dual_weights_are_even():
     for n in (2, 4, 6, 8):
         _, codes = census.census(2, n, with_codes=True)

@@ -281,6 +281,56 @@ def test_gqc_invariance():
         assert is_gqc_invariant(icc, (3,) * ell)
 
 
+def _random_profile(rng, n):
+    profile = []
+    while n:
+        profile.append(rng.randrange(1, n + 1))
+        n -= profile[-1]
+    return tuple(profile)
+
+
+def _shifted_code(code, profile):
+    # the span of the shifted basis rows: the code's image under the shift
+    shifted = [section_shift(r, profile) for r in code.rows]
+    return LinearCode.from_rows(code.field, code.n, shifted)
+
+
+@pytest.mark.parametrize("q", [2, 4, 16])
+def test_gqc_invariance_matches_the_shifted_span(q):
+    # on random codes, and on the span of a random word's shift orbit,
+    # which is invariant by construction
+    f = field_for(q)
+    rng = random.Random(50 + q)
+    seen = set()
+    for _ in range(150):
+        n = rng.randrange(9)
+        profile = _random_profile(rng, n)
+        rows = [rand_vec(rng, q, n) for _ in range(rng.randrange(n + 1))]
+        orbit = [rand_vec(rng, q, n)]
+        for _ in range(max(profile, default=1) - 1):
+            orbit.append(section_shift(orbit[-1], profile))
+        for code in (LinearCode.from_rows(f, n, rows), LinearCode.from_rows(f, n, orbit)):
+            got = is_gqc_invariant(code, profile)
+            assert got == (_shifted_code(code, profile) == code), (code.rows, profile)
+            seen.add(got)
+    assert seen == {False, True}
+
+
+def test_gqc_invariance_of_interleaved_images():
+    rng = random.Random(12)
+    for ell in (1, 2, 3, 4):
+        c1 = LinearCode.from_rows(GF2, ell, [rand_vec(rng, 2, ell) for _ in range(rng.randrange(ell + 1))])
+        c4 = LinearCode.from_rows(GF4, ell, [rand_vec(rng, 4, ell) for _ in range(rng.randrange(ell + 1))])
+        c16 = LinearCode.from_rows(GF16, ell, [rand_vec(rng, 16, ell) for _ in range(rng.randrange(ell + 1))])
+        for code, m in ((cubic_code(c1, c4), 3), (quintic_code(c1, c16), 5)):
+            icode = LinearCode.from_rows(GF2, code.n, [interleave(r, ell, m) for r in code.rows])
+            profile = (m,) * ell
+            assert is_gqc_invariant(icode, profile)
+            assert _shifted_code(icode, profile) == icode
+            # in block order the answer may go either way; it still matches
+            assert is_gqc_invariant(code, profile) == (_shifted_code(code, profile) == code)
+
+
 def test_section_shift_refuses_empty_and_negative_sections():
     assert section_shift(bits("101"), (1, 2)) == bits("110")
     # (4, -1) sums to the length; (0, 3) would index an empty section
