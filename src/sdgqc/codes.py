@@ -46,11 +46,15 @@ def check_inner(field: Field, inner: str) -> None:
         raise ValueError(f"unknown inner product {inner!r}")
 
 
-def pack(field: Field, v: Sequence[int]) -> int:
+def pack(field: Field, v: Sequence[int], n: int) -> int:
+    """The word v of length n as a packed int, each symbol checked as it is
+    packed: the one way a word enters a code."""
+    if len(v) != n:
+        raise ValueError(f"row of length {len(v)}, expected {n}")
     b = field.bits
     acc = 0
     for i, s in enumerate(v):
-        acc |= s << (i * b)
+        acc |= field.check(s) << (i * b)
     return acc
 
 
@@ -120,13 +124,7 @@ class LinearCode:
 
     @classmethod
     def from_rows(cls, field: Field, n: int, rows: Iterable[Sequence[int]]) -> "LinearCode":
-        rows = [tuple(r) for r in rows]
-        for r in rows:
-            if len(r) != n:
-                raise ValueError(f"row of length {len(r)}, expected {n}")
-            for s in r:
-                field.check(s)
-        return cls(field, n, tuple(rref(field, [pack(field, r) for r in rows], n)))
+        return cls(field, n, tuple(rref(field, [pack(field, tuple(r), n) for r in rows], n)))
 
     @classmethod
     def zero(cls, field: Field, n: int) -> "LinearCode":
@@ -155,14 +153,14 @@ class LinearCode:
     # -- membership and duality --------------------------------------------
 
     def contains(self, v: Sequence[int]) -> bool:
-        for s in v:
-            self.field.check(s)
-        if len(v) != self.n:
-            raise ValueError("length mismatch")
-        # v is in the code iff it is orthogonal to the code's dual
-        pair = self.field.packed_ops(self.n).pair
-        pv = pack(self.field, v)
-        return not any(pair(d, pv) for d in kernel_basis(self.field, self.basis, self.n))
+        """v lies in the code iff clearing its symbol at each basis row's
+        pivot leaves 0: a pivot symbol is 1 and every other row is 0 in that
+        column, so w - w_p * r zeroes w at r's pivot and at no other."""
+        ops, m = self.field.packed_ops(self.n), self.field.q - 1
+        w = pack(self.field, v, self.n)
+        for r in self.basis:
+            w ^= ops.multiples(r)[w >> (r & -r).bit_length() - 1 & m]
+        return w == 0
 
     def dual(self, inner: str) -> "LinearCode":
         """Null space w.r.t. the chosen inner product."""

@@ -160,10 +160,10 @@ def section_shift(v: Sequence[int], profile: Sequence[int]) -> tuple:
 
 def is_gqc_invariant(code: LinearCode, profile: Sequence[int]) -> bool:
     """True iff the simultaneous section shift maps the code onto itself:
-    the shift is a permutation, so iff the shifted rows span the code."""
+    the shift is a permutation, so σ(C) has C's dimension, and σ(C) = C iff
+    every basis row's shift lies in C."""
     profile = _check_profile(profile, code.n, "code")
-    shifted = [section_shift(row, profile) for row in code.rows]
-    return LinearCode.from_rows(code.field, code.n, shifted) == code
+    return all(code.contains(section_shift(row, profile)) for row in code.rows)
 
 
 def direct_sum(a: LinearCode, b: LinearCode) -> LinearCode:

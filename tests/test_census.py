@@ -108,7 +108,7 @@ def test_hermitian16_containing_census_n6():
     pair = f.packed_ops(6).pair
 
     def isotropic(word):
-        return pair(pack(f, word), pack(f, word)) == 0
+        return pair(pack(f, word, 6), pack(f, word, 6)) == 0
 
     rng = random.Random(6)
     words = [(1, 1, 0, 0, 0, 0), (0, 0, 3, 3, 3, 3)]

@@ -367,7 +367,7 @@ def test_meet_keeps_rref_reduced(q, n, constraints):
     f = field_for(q)
     ops = f.packed_ops(n)
     multiples, pair = ops.multiples, ops.pair
-    root = kernel_basis(f, [pack(f, w) for w in constraints], n)
+    root = kernel_basis(f, [pack(f, w, n) for w in constraints], n)
     assert _is_reduced(f, root) and len(root) == n - len(constraints)
     span = [0]
     for d in root if q ** len(root) <= 1 << 16 else ():
