@@ -26,6 +26,10 @@ _MODULUS = {
 }
 
 
+#: packed_ops refuses vectors wider than this many bits: the RREF of a
+#: zero code takes about 1 s at this width, and 5x that per doubling
+_WIDTH_LIMIT = 4096
+
 #: The primitives on packed vectors of one length, from Field.packed_ops:
 #: multiples, v -> (c*v for c = 0..q-1); pair, (u, v) -> the designated
 #: inner product, sum u_i*v_i over GF(2), the Hermitian sum u_i*conj(v_i)
@@ -75,7 +79,12 @@ class Field:
         pair(v, v) is P0 + sum over 0 < s < bits of P_s * (x^s + x^-s).
         Each bit of that sum must vanish: over GF(2) P0 = 0, over GF(4)
         P0 = P1, over GF(16) P0 = P1 = P2 xor P3.
+
+        A length wider than _WIDTH_LIMIT bits raises ValueError.
         """
+        if n * self.bits > _WIDTH_LIMIT:
+            raise ValueError(f"length {n} over GF({self.q}) takes {n * self.bits} bits, "
+                             f"past the {_WIDTH_LIMIT}-bit limit")
         if self.q == 2:
             return PackedOps(
                 lambda v: (0, v),

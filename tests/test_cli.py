@@ -390,6 +390,26 @@ def test_census_refuses_huge_lengths_fast(capsys):
         assert err == f"error: more than 2^{exponent} codes, limit 1000000\n"
 
 
+def test_wide_lengths_are_refused_fast(capsys, tmp_path):
+    # past 4,096 bits: GF(2) n = 4,097 (4,098 for the sampler, which wants an
+    # even length), GF(16) n = 1,026, and n = 10^6, whose unit vectors alone
+    # would exhaust memory
+    for q, n in (("2", 4097), ("2", 4098), ("16", 1026), ("2", 10**6), ("16", 10**6)):
+        bits = int(n) * (int(q).bit_length() - 1)
+        msg = f"length {n} over GF({q}) takes {bits} bits, past the 4096-bit limit"
+        path = tmp_path / f"wide-{q}-{n}.txt"
+        path.write_text(f"sdgqc-code v1\nq {q}\nn {n}\nk 0\n")
+        inner = "euclidean" if q == "2" else "hermitian"
+        runs = [(["verify", "--code", str(path), "--inner", inner], f"error: bad code file {path}: {msg}\n")]
+        if n % 2 == 0:
+            runs.append((["sample", "--q", q, "--n", str(n), "--seed", "1"], f"error: {msg}\n"))
+        for argv, want in runs:
+            t0 = time.perf_counter()
+            rc, out, err = run(capsys, *argv)
+            assert time.perf_counter() - t0 < 1.0
+            assert (rc, out, err) == (2, "", want)
+
+
 def test_census_refuses_lengths_without_a_count(capsys):
     # `mass` has no count for these, so the census refuses them before it searches
     for argv, msg in ((["--q", "16", "--n", "4", "--type2"], "no Type II count over GF(16)"),

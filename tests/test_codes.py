@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -295,6 +296,24 @@ def test_text_format_roundtrip():
             rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(3)]
             c = LinearCode.from_rows(f, n, rows)
             assert loads(c.dump()) == c
+
+
+@pytest.mark.parametrize("q", [2, 4, 16])
+def test_loads_refuses_wide_codes_fast(q):
+    # past 4,096 bits a length is refused before anything grows with it:
+    # the unit vectors alone of n = 10^6 would take about 60 GB
+    bits = q.bit_length() - 1
+    for n in (4096 // bits + 1, 10**6):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="past the 4096-bit limit"):
+            loads(f"sdgqc-code v1\nq {q}\nn {n}\nk 0\n")
+        assert time.perf_counter() - t0 < 1.0
+
+
+def test_loads_accepts_exactly_4096_bits():
+    # the cheapest length at the limit, 1,024 symbols over GF(16): about 0.7 s
+    c = loads("sdgqc-code v1\nq 16\nn 1024\nk 1\n" + "1" * 1024 + "\n")
+    assert (c.n, c.k) == (1024, 1) and c.contains((5,) * 1024)
 
 
 @st.composite

@@ -177,3 +177,13 @@ def test_multiples_property(q, n, data):
     v = data.draw(st.integers(0, (1 << f.bits * n) - 1))
     c = data.draw(st.integers(0, q - 1))
     assert f.packed_ops(n).multiples(v)[c] == _scale_by_definition(f, n, c, v)
+
+
+@pytest.mark.parametrize("f", [GF2, GF4, GF16])
+def test_packed_ops_refuses_vectors_past_4096_bits(f):
+    limit = 4096 // f.bits
+    assert f.packed_ops(limit).pair(1, 1) == 1  # exactly 4,096 bits
+    for n in (limit + 1, 10**6):
+        with pytest.raises(ValueError, match=f"length {n} over GF\\({f.q}\\) takes {n * f.bits} bits, "
+                                             "past the 4096-bit limit"):
+            f.packed_ops(n)
