@@ -1,7 +1,8 @@
 """Command-line interface: one executable, subcommand per operation.
 
 Exit codes: 0 success, 1 a verification/bound predicate is false (or a
-selftest check fails), 2 usage or input-format errors.  Diagnostics go to
+selftest check fails), 2 usage or input-format errors, 141 (128 + SIGPIPE)
+stdout closed by its reader.  Diagnostics go to
 stderr, data to stdout.
 """
 
@@ -351,10 +352,19 @@ def main(argv=None) -> int:
         except SystemExit as e:
             return e.code if isinstance(e.code, int) else 2
     try:
-        return args.fn(args)
+        rc = args.fn(args)
+        sys.stdout.flush()
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: stdout's fd goes to devnull, so that the
+        # interpreter's last flush of what is still buffered cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return rc
 
 
 if __name__ == "__main__":

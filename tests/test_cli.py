@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import subprocess
 import sys
 import time
 
@@ -408,6 +409,23 @@ def test_wide_lengths_are_refused_fast(capsys, tmp_path):
             rc, out, err = run(capsys, *argv)
             assert time.perf_counter() - t0 < 1.0
             assert (rc, out, err) == (2, "", want)
+
+
+@pytest.mark.parametrize("argv", [["maxdist", "--ell", "40", "--mode", "exact"], ["mass", "--q", "16", "--ell", "2048"]])
+def test_a_closed_stdout_exits_141(argv):
+    # the reader closes first: a short answer fails at main's flush, a long
+    # one (631,307 bytes) in its print; either way main returns 128 + SIGPIPE
+    # and the interpreter's last flush prints nothing
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    script = "import sys; from sdgqc.cli import main; sys.exit(main())"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-c", script, *argv], stdout=write_end, stderr=subprocess.PIPE,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
 
 
 def test_census_refuses_lengths_without_a_count(capsys):
