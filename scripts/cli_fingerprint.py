@@ -38,6 +38,8 @@ INPUTS = {
     "rep2.txt": "sdgqc-code v1\nq 2\nn 2\nk 1\n11\n",
     "empty2.txt": "sdgqc-code v1\nq 2\nn 0\nk 0\n",
     "empty16.txt": "sdgqc-code v1\nq 16\nn 0\nk 0\n",
+    # one bit past the width limit of packed vectors
+    "wide.txt": "sdgqc-code v1\nq 2\nn 4097\nk 0\n",
 }
 
 _BOUNDS = [
@@ -90,6 +92,7 @@ FIXED = [
      "--interleave"],
     ["verify", "--code", f"{TMP}/c2.txt", "--inner", "hermitian", "--json"],
     ["verify", "--code", f"{TMP}/c4.txt", "--inner", "hermitian"],
+    ["verify", "--code", f"{TMP}/wide.txt", "--inner", "euclidean"],
     ["sample", "--q", 2, "--n", 8, "--seed", 7],
     ["sample", "--q", 4, "--n", 6, "--seed", 1],
     ["sample", "--q", 16, "--n", 4, "--seed", 3],
@@ -99,6 +102,8 @@ FIXED = [
     ["sample", "--q", 2, "--n", 64, "--seed", 1],
     ["sample", "--q", 4, "--n", 32, "--seed", 4],
     ["sample", "--q", 16, "--n", 16, "--seed", 24],
+    # the shortest even length past the width limit: 4,104 bits
+    ["sample", "--q", 16, "--n", 1026, "--seed", 1],
     # forms that only argparse parses: abbreviations, --opt=value, values
     # starting with "-", repeats, "--", and the usage errors
     ["maxdist", "--ell", 40, "--mo", "exact"],

@@ -1,8 +1,7 @@
 """Command-line interface: one executable, subcommand per operation.
 
 Exit codes: 0 success, 1 a verification/bound predicate is false (or a
-selftest check fails), 2 usage or input-format errors, 141 (128 + SIGPIPE)
-stdout closed by its reader.  Diagnostics go to
+selftest check fails), 2 usage or input-format errors.  Diagnostics go to
 stderr, data to stdout.
 """
 
@@ -358,7 +357,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except BrokenPipeError:
-        # the reader is gone: stdout's fd goes to devnull, so that the
+        # the reader is gone: exit 128 + SIGPIPE, as a shell shows for
+        # `yes | head -1`.  stdout's fd goes to devnull, so that the
         # interpreter's last flush of what is still buffered cannot fail
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
