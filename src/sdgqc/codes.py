@@ -5,16 +5,19 @@ generator matrix, so two LinearCode objects are equal iff they describe the
 same set of codewords.  Below the API every vector is a packed int: symbol
 i sits in bits [i*bits, (i+1)*bits), so a row's pivot, its first nonzero
 column, is its lowest set bit.  `Field.packed_ops(n)` gives the primitives
-on them, and a scalar multiple c*v is read off as `multiples(v)[c]`.
-Symbol tuples appear only at the boundary: `from_rows`, `contains`, the
-`rows` view, `loads` and the GF(4) rows of `dump`, which prints a GF(2) or
-GF(16) row straight from its packed int.
+on them, refusing a width past 4,096 bits, and a scalar multiple c*v is
+read off as `multiples(v)[c]`.  A symbol tuple enters through `pack` alone,
+which checks its length and each symbol; `from_rows` and `contains` call
+it.  Tuples leave through the `rows` view and the GF(4) rows of `dump`,
+which prints a GF(2) or GF(16) row straight from its packed int.
 
 There is one elimination routine: the dual meet, span(dual) ∩ w^perp
 (`_meet_row` finds the row to eliminate, `_eliminate` removes it), and
 `kernel_basis` meets the unit vectors with each row in turn.  The field's
 form is nondegenerate, so C = (C^perp)^perp: `rref` is the dual of the
-dual, and v lies in C iff no row of C's dual pairs nonzero with it.
+dual.  Membership needs no dual: the RREF's pivot symbols are 1 and every
+other row is 0 in a pivot column, so v lies in C iff clearing v's symbol
+at each row's pivot with that row leaves 0.
 """
 
 from __future__ import annotations
