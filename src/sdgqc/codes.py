@@ -127,7 +127,7 @@ class LinearCode:
 
     @classmethod
     def from_rows(cls, field: Field, n: int, rows: Iterable[Sequence[int]]) -> "LinearCode":
-        return cls(field, n, tuple(rref(field, [pack(field, tuple(r), n) for r in rows], n)))
+        return cls(field, n, tuple(rref(field, (pack(field, tuple(r), n) for r in rows), n)))
 
     @classmethod
     def zero(cls, field: Field, n: int) -> "LinearCode":
@@ -299,13 +299,7 @@ def loads(text: str) -> LinearCode:
     body = lines[4:]
     if len(body) != k:
         raise ValueError(f"expected {k} generator rows, found {len(body)}")
-    rows = []
-    for ln in body:
-        row = parse_symbols(field, ln)
-        if len(row) != n:
-            raise ValueError(f"row of length {len(row)}, expected {n}")
-        rows.append(row)
-    code = LinearCode.from_rows(field, n, rows)
+    code = LinearCode.from_rows(field, n, [parse_symbols(field, ln) for ln in body])
     if code.k != k:
         raise ValueError(f"rows have rank {code.k}, header says k={k}")
     return code

@@ -308,6 +308,12 @@ def test_loads_refuses_wide_codes_fast(q):
         with pytest.raises(ValueError, match="past the 4096-bit limit"):
             loads(f"sdgqc-code v1\nq {q}\nn {n}\nk 0\n")
         assert time.perf_counter() - t0 < 1.0
+    # a row is packed only after the width is accepted: packing these
+    # 10^6 symbols would take seconds, as the packed int grows with each
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="past the 4096-bit limit"):
+        loads(f"sdgqc-code v1\nq {q}\nn {10**6}\nk 1\n{'1' * 10**6}\n")
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_loads_accepts_exactly_4096_bits():
