@@ -158,7 +158,8 @@ class LinearCode:
     def contains(self, v: Sequence[int]) -> bool:
         """v lies in the code iff clearing its symbol at each basis row's
         pivot leaves 0: a pivot symbol is 1 and every other row is 0 in that
-        column, so w - w_p * r zeroes w at r's pivot and at no other."""
+        column, so subtracting w_p * r clears w at r's pivot and leaves its
+        other pivot symbols as they are."""
         ops, m = self.field.packed_ops(self.n), self.field.q - 1
         w = pack(self.field, v, self.n)
         for r in self.basis:
