@@ -158,6 +158,35 @@ def test_census_count_lower_bound():
         census.census(2, 14)
 
 
+def _pivots_fill_first_gap(rows) -> bool:
+    """True iff each row's pivot (its first nonzero symbol) is the first
+    column that no row above it is nonzero in."""
+    used: set = set()
+    for row in rows:
+        support = {i for i, c in enumerate(row) if c}
+        if min(support) != min(set(range(len(row))) - used):
+            return False
+        used |= support
+    return True
+
+
+def test_self_dual_pivot_fills_first_unused_column():
+    # the census branches only on this: a column left of row k's pivot that
+    # no earlier row uses is zero in the whole code, and a self-dual code
+    # has no zero column (its unit vector would lie in C^perp = C, and no
+    # unit vector is isotropic).  Checked on the sampler's codes, which
+    # share no search code with the census, and on the frozen listings
+    for q, lengths in ((2, (2, 8, 16, 40)), (4, (2, 6, 12)), (16, (2, 4, 10))):
+        for n in lengths:
+            for seed in range(20):
+                assert _pivots_fill_first_gap(census.sample_self_dual(q, n, seed).rows), (q, n, seed)
+    for q, n in ((2, 8), (16, 4)):
+        _, codes = census.census(q, n, with_codes=True)
+        assert all(_pivots_fill_first_gap(c.rows) for c in codes)
+    # a code with a zero column (column 1) breaks it
+    assert not _pivots_fill_first_gap([(1, 0, 1, 0), (0, 0, 0, 1)])
+
+
 def census_within(nodes, *args, **options):
     """census(*args, **options) with a node budget of `nodes`."""
     with pytest.MonkeyPatch.context() as mp:
