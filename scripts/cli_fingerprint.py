@@ -40,6 +40,9 @@ INPUTS = {
     "empty16.txt": "sdgqc-code v1\nq 16\nn 0\nk 0\n",
     # one bit past the width limit of packed vectors
     "wide.txt": "sdgqc-code v1\nq 2\nn 4097\nk 0\n",
+    # within the limit each, 4,160 bits joined
+    "wide-cubic.txt": "sdgqc-code v1\nq 2\nn 1560\nk 0\n",
+    "wide-quintic.txt": "sdgqc-code v1\nq 2\nn 2600\nk 0\n",
 }
 
 _BOUNDS = [
@@ -86,6 +89,7 @@ FIXED = [
     ["construct", "--c1", f"{TMP}/cubic.txt", "--c2", f"{TMP}/quintic.txt", "--construction", "gqc"],
     ["construct", "--c1", f"{TMP}/cubic.txt", "--c2", f"{TMP}/quintic.txt", "--construction", "gqc",
      "--interleave"],
+    ["construct", "--c1", f"{TMP}/wide-cubic.txt", "--c2", f"{TMP}/wide-quintic.txt", "--construction", "gqc"],
     ["construct", "--c1", f"{TMP}/c1.txt", "--c2", f"{TMP}/missing.txt", "--construction", "cubic"],
     ["construct", "--c1", f"{TMP}/rep2.txt", "--c2", f"{TMP}/c2.txt", "--construction", "quintic"],
     ["construct", "--c1", f"{TMP}/empty2.txt", "--c2", f"{TMP}/empty16.txt", "--construction", "quintic",

@@ -4,7 +4,10 @@ The census is the ground-truth oracle for the counting formulas: it counts
 every self-dual code of a given (small) length exactly once, by orderly
 generation (Read 1978; McKay 1998).  A search-tree node is a self-orthogonal
 code held as its packed RREF rows, and its parent is the code of its first
-k-1 rows, so each self-dual code is one leaf.  The search grows each
+k-1 rows, so each self-dual code is one leaf.  A self-dual code has no
+zero column, so in its RREF each row's pivot is the first column that no
+earlier row uses: a node branches only on the dual row pivoted there, and
+on none where an earlier column is left unused.  The search grows each
 distinct search state once and reuses its leaves wherever the state recurs
 under another parent; a count adds them up, and a listing reads every leaf's
 rows back along the states' children.  Each state sorts its children once,
@@ -99,29 +102,27 @@ def census(
         # Returns (leaves, kids): the number of leaves below this node and,
         # when listing, its children as (r, the child's kids), or (r, None)
         # for a leaf; kids is None on a count.  dual holds the rows of the
-        # code's dual whose pivots come after the last row's pivot; no node
-        # reads an earlier one.  A child appends r = (dual row of pivot p) +
-        # any combination of the dual rows with later pivots, for p in a
-        # column no row uses, and gets the rows after p, met with r.
-        # A dual row's pivot symbol is 1, so its lowest set bit marks p.
-        # The child's later pivots must fall in the free pivot columns (no
-        # row uses them) after p that r leaves zero.  The dual is in RREF,
-        # so r's symbol in a later row's pivot column is that row's
-        # coefficient: r may have at most slack = (free pivots after p) -
-        # need nonzero coefficients on the free-pivot rows.  Combinations
-        # are therefore held in layers by that count t; a free-pivot row
-        # moves them from layer t to t+1, a used-pivot row extends every
-        # layer, no layer is built past the largest slack (`cap`, at the
-        # first free row lo), and row p reads layers 0..slack only.  A child
-        # with t == slack whose eliminated row j (the last one r meets) has
-        # a free pivot that r leaves zero would have need - 1 free pivots
-        # for need rows: that dead end is skipped before the elimination, so
-        # only the root can find cap < 0.  A child that completes the code
-        # (need == 0 here) is a leaf: it gets no call of its own, and the
-        # leaves are counted as visits once, after the loop.  A child's
-        # leaves depend only on its dual, the used columns from p on and its
-        # depth, so each such state is grown once, for a count and a listing
-        # alike, and a memo hit is not a visit.
+        # code's dual whose pivots come after the last row's pivot, and used
+        # the union of the rows' supports.  A column left of a row's pivot is
+        # zero in it and in every later row, so an unused one there is zero
+        # in the whole code, and a self-dual code has none (its unit vector
+        # would lie in C^perp = C, and no unit vector is isotropic).  So the
+        # next row's pivot p is the first unused column, that of the first
+        # free dual row d (a pivot symbol is 1: its lowest set bit marks p),
+        # or the node has no leaves.  A child appends r = d + any combination
+        # of the later dual rows and gets those rows, met with r.  Its later
+        # pivots must fall in free pivot columns that r leaves zero, and r's
+        # symbol in a later row's pivot column is that row's coefficient, so
+        # r may have at most cap = (free pivots after p) - need nonzero
+        # coefficients on free-pivot rows.  Combinations are held in layers
+        # by that count t: a free-pivot row moves them from layer t to t+1,
+        # a used-pivot row extends every layer.  A child with t == cap whose
+        # eliminated row j (the last one r meets) has a free pivot that r
+        # leaves zero would have need - 1 free pivots for need rows: that
+        # dead end is skipped before the elimination, so only the root can
+        # find cap < 0.  A child that completes the code is a leaf with no
+        # call; leaves are counted as visits once, after the loop.  Each
+        # (dual, used, depth) is grown once, and a memo hit is not a visit.
         nonlocal nodes
         nodes += 1
         if nodes > state_limit:
@@ -133,48 +134,46 @@ def census(
         if cap < 0:
             return 0, kids
         lo = free_rows[0]
-        leaves = 0
+        d = dual[lo]
+        p = d & -d
+        if support(p - 1) & ~used:  # a column before p that no row uses
+            return 0, kids
         layers = [[0]]  # layers[t]: combinations with t nonzero free coefficients
-        free = 0  # free pivots after row i
-        for i in range(len(dual) - 1, lo - 1, -1):
-            d = dual[i]
-            p = d & -d
-            if not used & p:
-                slack = free - need
-                suffix = dual[i + 1:]
-                for t, layer in enumerate(layers[:max(slack + 1, 0)]):
-                    for s in layer:
-                        r = d ^ s
-                        if not iso(r):
-                            continue
-                        got = 1, None  # a leaf
-                        if need:
-                            child_used = used | support(r)
-                            j, a = _meet_row(pair, suffix, r)
-                            if j < 0:
-                                child = suffix
-                            elif t == slack and not child_used & suffix[j] & -suffix[j]:
-                                continue
-                            else:
-                                child = _eliminate(field, ops, suffix, r, j, a)
-                            key = (tuple(child), child_used & -p, depth)
-                            got = memo.get(key)
-                            if got is None:
-                                got = memo[key] = grow(child, child_used, depth + 1)
-                        leaves += got[0]
-                        if with_codes:
-                            kids.append((r, got[1]))
-                free += 1
-            if i > lo:
-                ms = multiples(d)[1:]
-                if used & p:  # any coefficient: every layer grows
-                    for layer in layers:
-                        layer += [s ^ m for m in ms for s in layer]
-                else:  # a nonzero coefficient moves t up one
-                    if len(layers) <= cap:
-                        layers.append([])
-                    for t in range(len(layers) - 1, 0, -1):
-                        layers[t] += [s ^ m for m in ms for s in layers[t - 1]]
+        for i in range(len(dual) - 1, lo, -1):
+            e = dual[i]
+            ms = multiples(e)[1:]
+            if used & e & -e:  # any coefficient: every layer grows
+                for layer in layers:
+                    layer += [s ^ m for m in ms for s in layer]
+            else:  # a nonzero coefficient moves t up one
+                if len(layers) <= cap:
+                    layers.append([])
+                for t in range(len(layers) - 1, 0, -1):
+                    layers[t] += [s ^ m for m in ms for s in layers[t - 1]]
+        leaves = 0
+        suffix = dual[lo + 1:]
+        for t, layer in enumerate(layers):
+            for s in layer:
+                r = d ^ s
+                if not iso(r):
+                    continue
+                got = 1, None  # a leaf
+                if need:
+                    child_used = used | support(r)
+                    j, a = _meet_row(pair, suffix, r)
+                    if j < 0:
+                        child = suffix
+                    elif t == cap and not child_used & suffix[j] & -suffix[j]:
+                        continue
+                    else:
+                        child = _eliminate(field, ops, suffix, r, j, a)
+                    key = (tuple(child), child_used, depth)
+                    got = memo.get(key)
+                    if got is None:
+                        got = memo[key] = grow(child, child_used, depth + 1)
+                leaves += got[0]
+                if with_codes:
+                    kids.append((r, got[1]))
         if not need:
             nodes += leaves
             if nodes > state_limit:

@@ -1,8 +1,8 @@
 """Command-line interface: one executable, subcommand per operation.
 
 Exit codes: 0 success, 1 a verification/bound predicate is false (or a
-selftest check fails), 2 usage or input-format errors.  Diagnostics go to
-stderr, data to stdout.
+selftest check fails), 2 usage or input-format errors, 141 stdout's reader
+has gone.  Diagnostics go to stderr, data to stdout.
 """
 
 import os

@@ -170,6 +170,7 @@ def direct_sum(a: LinearCode, b: LinearCode) -> LinearCode:
     """Concatenation code {(u|v) : u in a, v in b}."""
     if a.field.q != b.field.q:
         raise ValueError("field mismatch")
+    a.field.packed_ops(a.n + b.n)  # refuses a joined length past the width limit
     # b's pivots all follow a's, and each basis is zero on the other's
     # columns, so the joined bases are the canonical RREF as they stand
     shift = a.n * a.field.bits

@@ -411,6 +411,18 @@ def test_wide_lengths_are_refused_fast(capsys, tmp_path):
             assert (rc, out, err) == (2, "", want)
 
 
+def test_gqc_refuses_a_sum_past_the_width_limit(capsys, tmp_path):
+    # inputs of 1,560 and 2,600 bits each fit, their 4,160-bit sum does not:
+    # refused before --out is written
+    c1, c2, out_path = tmp_path / "c1.txt", tmp_path / "c2.txt", tmp_path / "g.txt"
+    c1.write_text("sdgqc-code v1\nq 2\nn 1560\nk 0\n")
+    c2.write_text("sdgqc-code v1\nq 2\nn 2600\nk 0\n")
+    rc, out, err = run(capsys, "construct", "--c1", str(c1), "--c2", str(c2), "--construction", "gqc",
+                       "--out", str(out_path))
+    assert (rc, out, err) == (2, "", "error: length 4160 over GF(2) takes 4160 bits, past the 4096-bit limit\n")
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("argv", [["maxdist", "--ell", "40", "--mode", "exact"], ["mass", "--q", "16", "--ell", "2048"]])
 def test_a_closed_stdout_exits_141(argv):
     # the reader closes first: a short answer fails at main's flush, a long
