@@ -387,7 +387,7 @@ def test_direct_sum_refuses_a_joined_length_past_the_width_limit():
     # each input fits the 4,096-bit limit, their direct sum does not
     a, b = LinearCode.zero(GF2, 1560), LinearCode.zero(GF2, 2600)
     with pytest.raises(ValueError, match="^length 4160 over GF\\(2\\) takes 4160 bits, past the 4096-bit limit$"):
-        direct_sum_gqc(a, b)
+        direct_sum(a, b)
     assert direct_sum(LinearCode.zero(GF2, 1536), LinearCode.zero(GF2, 2560)).n == 4096
 
 
