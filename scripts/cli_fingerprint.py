@@ -77,6 +77,7 @@ FIXED = [
     ["census", "--q", 2, "--n", 8, "--containing", "11000000", "--list", f"{TMP}/list-2-8-containing"],
     ["census", "--q", 2, "--n", 10, "--list", f"{TMP}/list-2-10"],
     ["census", "--q", 16, "--n", 4, "--containing", "1111", "--list", f"{TMP}/list-16-4-containing"],
+    ["census", "--q", 16, "--n", 6, "--containing", "110000", "--list", f"{TMP}/list-16-6-containing"],
     *_BOUNDS,
     # the GF(16) counting ratio 2^(2*ell-2) + 1 at exponents 2^21 - 2 and 2^21 + 2
     ["bound", "--ell", 1048576, "--d", 3, "--mode", "exact"],

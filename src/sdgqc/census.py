@@ -13,6 +13,18 @@ under another parent; a count adds them up, and a listing reads every leaf's
 rows back along the states' children.  Each state sorts its children once,
 by the text of their rows, so the listing comes out in text order with no
 sort over the whole of it.
+Over GF(4)/GF(16) a state's candidate rows d + s come in groups d + u*s,
+u in U = {u : u*conj(u) = 1} (3 over GF(4), 5 over GF(16)).  When d, the
+state's first free dual row, shares no column with the later dual rows
+(whose combinations the s are), <d, s> = 0 and N(u) = 1 give every row of
+a group d's isotropy, and every later row x pairs with d + u*s as conj(u)
+times with d + s: the same row is eliminated, by the same ratios, into
+the same child.  So the search grows one row per group, the s whose
+coefficient on its highest-index row lies in GF(sqrt q)*, a transversal
+of U, and counts its subtree |U| times; a listing gives the subtree all
+|U| rows.  The zero combination is a group of its own.  Over
+GF(2) U = {1}, as it is when d shares a column with a later row, and
+every group has one row.
 The sampler grows a random self-dual code one uniformly chosen isotropic
 vector at a time, rejecting a draw that no row of the current dual pairs
 nonzero with (one inside the span so far); the generator is Python's
@@ -28,9 +40,11 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
+from functools import reduce
+from operator import or_
 
 from . import mass
-from .fields import field_for
+from .fields import field_for, norm_one
 from .codes import EnumerationBudgetExceeded, LinearCode, _eliminate, _meet_row, kernel_basis
 
 
@@ -82,6 +96,9 @@ def census(
     support, multiples, pair = ops.support, ops.multiples, ops.pair
     # a row's own test: <v, v> == 0, or weight 0 mod 4 for Type II
     iso = (lambda pv: pv.bit_count() % 4 == 0) if type2 else ops.isotropic
+    units, fixed = norm_one(field)
+    size = len(units)
+    opening = [c - 1 for c in fixed]  # indexes into a row's nonzero multiples
     # a self-dual C lies in w^perp for each w in C, and every binary one
     # contains the all-ones word
     constraints = [(1 << n) - 1] if q == 2 else []
@@ -123,6 +140,13 @@ def census(
         # find cap < 0.  A child that completes the code is a leaf with no
         # call; leaves are counted as visits once, after the loop.  Each
         # (dual, used, depth) is grown once, and a memo hit is not a visit.
+        # A grouped state (the module docstring's lemma: |U| > 1 and d
+        # disjoint from the later rows) holds the zero combination apart
+        # while the layers grow, so a row that opens a combination takes a
+        # coefficient in GF(sqrt q)* alone, and the zero goes in a layer of
+        # its own, last: d meets no later row, so its t is never read, and
+        # the loop's last got is its subtree.  Each other kid then stands
+        # for its group's |U| rows.
         nonlocal nodes
         nodes += 1
         if nodes > state_limit:
@@ -138,20 +162,26 @@ def census(
         p = d & -d
         if support(p - 1) & ~used:  # a column before p that no row uses
             return 0, kids
-        layers = [[0]]  # layers[t]: combinations with t nonzero free coefficients
-        for i in range(len(dual) - 1, lo, -1):
-            e = dual[i]
+        suffix = dual[lo + 1:]
+        grouped = size > 1 and not support(d) & support(reduce(or_, suffix, 0))
+        layers = [[]] if grouped else [[0]]  # layers[t]: combinations with t nonzero free coefficients
+        for e in reversed(suffix):
             ms = multiples(e)[1:]
             if used & e & -e:  # any coefficient: every layer grows
                 for layer in layers:
                     layer += [s ^ m for m in ms for s in layer]
+                if grouped:
+                    layers[0] += [ms[c] for c in opening]
             else:  # a nonzero coefficient moves t up one
                 if len(layers) <= cap:
                     layers.append([])
                 for t in range(len(layers) - 1, 0, -1):
                     layers[t] += [s ^ m for m in ms for s in layers[t - 1]]
+                if grouped and cap:
+                    layers[1] += [ms[c] for c in opening]
+        if grouped:
+            layers.append([0])
         leaves = 0
-        suffix = dual[lo + 1:]
         for t, layer in enumerate(layers):
             for s in layer:
                 r = d ^ s
@@ -174,6 +204,11 @@ def census(
                 leaves += got[0]
                 if with_codes:
                     kids.append((r, got[1]))
+        if grouped:  # each kid but the zero's stands for its |U| rows
+            leaves = size * leaves - (size - 1) * (got[0] if iso(d) else 0)
+            if with_codes:
+                kids = [(d ^ us[u], below) for r, below in kids
+                        for us in (multiples(r ^ d),) for u in (units if r != d else (1,))]
         if not need:
             nodes += leaves
             if nodes > state_limit:

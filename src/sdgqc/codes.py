@@ -22,6 +22,7 @@ at each row's pivot with that row leaves 0.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterable, Iterator, Sequence
 
 from .fields import Field, GF2, field_for
@@ -255,8 +256,15 @@ class LinearCode:
         return "\n".join([f"{FORMAT_HEADER}\nq {q}\nn {n}\nk {self.k}", *body, ""])
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(self.dump())
+        # the text is built before the file is opened, so a failing dump
+        # leaves no empty file; one raw descriptor, no text-mode file object
+        data = self.dump().encode()
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
 
 
 def parse_symbols(field: Field, text: str) -> tuple:

@@ -193,3 +193,21 @@ def field_for(q: int) -> Field:
         return _BY_Q[q]
     except KeyError:
         raise ValueError(f"unsupported field size {q}") from None
+
+
+#: q -> norm_one(field_for(q)), built on first use
+_NORM_ONE: dict = {}
+
+
+def norm_one(field: Field) -> tuple:
+    """(U, F): U the units u with u*conj(u) = 1, F = GF(sqrt q)* the nonzero
+    c with conj(c) = c, both ascending.  |U| is 5 over GF(16), 3 over GF(4)
+    and 1 over GF(2), whose Euclidean form takes conj as the identity.  F
+    is a transversal of U: the norm c*conj(c) is c^2 on F, one-to-one, so
+    each nonzero element is u*c for exactly one u in U and one c in F."""
+    q = field.q
+    if q not in _NORM_ONE:
+        conj = field.conjugate if q > 2 else (lambda a: a)
+        _NORM_ONE[q] = (tuple(u for u in range(1, q) if field.mul(u, conj(u)) == 1),
+                        tuple(c for c in range(1, q) if conj(c) == c))
+    return _NORM_ONE[q]

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from sdgqc import bounds, census, mass
-from sdgqc.codes import EUCLIDEAN, HERMITIAN, EnumerationBudgetExceeded, pack
+from sdgqc import bounds, census, fields, mass
+from sdgqc.codes import EUCLIDEAN, HERMITIAN, EnumerationBudgetExceeded, _eliminate, pack
 from sdgqc.fields import field_for
 
 
@@ -103,6 +103,19 @@ def test_hermitian16_census_n6():
     assert census.census(16, 6)[0] == mass.count(16, 6) == 333125
 
 
+def _hermitian16_words() -> list:
+    """Five isotropic GF(16) words of length 6: two fixed, three seeded."""
+    f = field_for(16)
+    isotropic = f.packed_ops(6).isotropic
+    rng = random.Random(6)
+    words = [(1, 1, 0, 0, 0, 0), (0, 0, 3, 3, 3, 3)]
+    while len(words) < 5:
+        word = tuple(rng.randrange(16) for _ in range(6))
+        if any(word) and isotropic(pack(f, word, 6)):
+            words.append(word)
+    return words
+
+
 def test_hermitian16_containing_census_n6():
     f = field_for(16)
     pair = f.packed_ops(6).pair
@@ -110,12 +123,8 @@ def test_hermitian16_containing_census_n6():
     def isotropic(word):
         return pair(pack(f, word, 6), pack(f, word, 6)) == 0
 
-    rng = random.Random(6)
-    words = [(1, 1, 0, 0, 0, 0), (0, 0, 3, 3, 3, 3)]
-    while len(words) < 5:  # further isotropic words, at random
-        word = tuple(rng.randrange(16) for _ in range(6))
-        if any(word) and isotropic(word):
-            words.append(word)
+    words = _hermitian16_words()
+    assert all(isotropic(word) for word in words)
     for word in words:
         assert census.census(16, 6, containing=word)[0] == mass.count(16, 6, containing=True) == 325, word
     # a non-isotropic word lies in no self-dual code
@@ -229,6 +238,71 @@ def test_census_state_limit_restricted(q, n, options, nodes, codes):
     with pytest.raises(EnumerationBudgetExceeded, match="state budget"):
         census_within(nodes - 1, q, n, **options)
     assert census_within(nodes, q, n, **options)[0] == codes
+
+
+@pytest.mark.parametrize("q, n, options, calls", [
+    (16, 4, {}, 33),
+    (16, 6, {"containing": (1, 1, 0, 0, 0, 0)}, 123),
+    (16, 4, {"containing": (1, 1, 1, 1)}, 5),
+    (2, 8, {}, 161),
+])
+def test_census_eliminations(monkeypatch, q, n, options, calls):
+    # the work, pinned: a state whose first free dual row d shares no column
+    # with the later rows eliminates once for each group d + U*s of norm-one
+    # multiples, not once per row (165 and 615 for the first two, one per
+    # row); a binary census has groups of one
+    made = []
+
+    def eliminate(*args):
+        made.append(1)
+        return _eliminate(*args)
+
+    monkeypatch.setattr(census, "_eliminate", eliminate)
+    assert census.census(q, n, **options)[0] == mass.count(q, n, containing="containing" in options)
+    assert len(made) == calls
+
+
+@pytest.mark.parametrize("q, n, options", [
+    (16, 2, {}),
+    (16, 4, {}),
+    (16, 4, {"containing": (1, 1, 1, 1)}),
+    *((16, 6, {"containing": word}) for word in _hermitian16_words()),
+])
+def test_census_norm_one_groups_match_the_plain_search(monkeypatch, q, n, options):
+    # with U = {1} every group d + U*s has one row and the search grows one
+    # child per candidate row, with no reuse across a group: it must count
+    # and list the same codes in the same order, and visit as many nodes
+    def run(**more):
+        count, codes = census.census(q, n, **options, **more)
+        return count, codes and [c.dump() for c in codes]
+
+    grouped = run(), run(with_codes=True)
+    nodes = _visits(q, n, options)
+    monkeypatch.setitem(fields._NORM_ONE, q, ((1,), tuple(range(1, q))))
+    assert (run(), run(with_codes=True)) == grouped
+    with pytest.raises(EnumerationBudgetExceeded, match="state budget"):
+        census_within(nodes - 1, q, n, **options)
+    assert census_within(nodes, q, n, **options)[0] == grouped[0][0]
+
+
+def _visits(q, n, options) -> int:
+    """The fewest search-tree nodes that the census of (q, n, options) runs
+    within, found by bisection."""
+    lo, hi = 0, 1
+    while _refused(hi, q, n, options):
+        lo, hi = hi, hi * 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _refused(mid, q, n, options) else (lo, mid)
+    return hi
+
+
+def _refused(nodes, q, n, options) -> bool:
+    try:
+        census_within(nodes, q, n, **options)
+    except EnumerationBudgetExceeded:
+        return True
+    return False
 
 
 def _seeded_words(n: int) -> list:

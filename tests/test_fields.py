@@ -11,6 +11,7 @@ from sdgqc.fields import (
     GF16,
     OMEGA,
     field_for,
+    norm_one,
 )
 
 
@@ -34,6 +35,7 @@ def test_conjugation():
         assert GF16.conjugate(GF16.conjugate(a)) == a
     with pytest.raises(ValueError):
         GF2.conjugate(1)
+    assert norm_one(GF2) == ((1,), (1,))  # no conjugation: groups of one
 
 
 def test_conjugation_fixes_the_right_subfield():
@@ -187,3 +189,49 @@ def test_packed_ops_refuses_vectors_past_4096_bits(f):
         with pytest.raises(ValueError, match=f"length {n} over GF\\({f.q}\\) takes {n * f.bits} bits, "
                                              "past the 4096-bit limit"):
             f.packed_ops(n)
+
+
+def _norm_one(f):
+    """U = {u : u*conj(u) = 1}, computed from mul and conjugate alone."""
+    return {u for u in range(1, f.q) if f.mul(u, f.conjugate(u)) == 1}
+
+
+@pytest.mark.parametrize("f, size", [(GF4, 3), (GF16, 5)])
+def test_norm_one_units_and_the_fixed_field(f, size):
+    # nonzero c = u * g for exactly one norm-one u and one nonzero g of the
+    # fixed field (conj(g) = g): the fixed field is a transversal of U
+    units = _norm_one(f)
+    assert len(units) == size
+    fixed = {g for g in range(1, f.q) if f.conjugate(g) == g}
+    for c in range(1, f.q):
+        assert sum(f.mul(u, g) == c for u in units for g in fixed) == 1, c
+    # the census's table of both, ascending
+    assert norm_one(f) == (tuple(sorted(units)), tuple(sorted(fixed)))
+
+
+def _disjoint_words(f, n, rng):
+    """(d, s, x): random packed words with d sharing no column with s or x."""
+    d = s = x = 0
+    for i in range(n):
+        owner = rng.randrange(3)  # column i: d's, s's or neither's
+        a, b = rng.randrange(1, f.q), rng.randrange(f.q)
+        d |= (a if owner == 0 else 0) << i * f.bits
+        s |= (a if owner == 1 else 0) << i * f.bits
+        x |= (b if owner else 0) << i * f.bits
+    return d, s, x
+
+
+@pytest.mark.parametrize("f", [GF4, GF16])
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_norm_one_multiples_keep_isotropy_and_scale_pairs(f, n):
+    # with d and s disjoint, d + u*s is isotropic iff d + s is, and a word
+    # x disjoint from d pairs with d + u*s as conj(u) times with d + s, so
+    # the census grows one subtree for the |U| candidate rows d + u*s
+    ops = f.packed_ops(n)
+    rng = random.Random(f.q * 100 + n)
+    for _ in range(300):
+        d, s, x = _disjoint_words(f, n, rng)
+        ms = ops.multiples(s)
+        for u in _norm_one(f):
+            assert ops.isotropic(d ^ ms[u]) == ops.isotropic(d ^ s)
+            assert ops.pair(x, d ^ ms[u]) == f.mul(f.conjugate(u), ops.pair(x, d ^ s))
